@@ -27,6 +27,7 @@ from permcodec.codec import decode_avoider, encode_avoider
 from permcodec.enumeration import (
     DEFAULT_NODE_BUDGET,
     count_avoiders,
+    require_length,
     scan_classes,
     verify_injection,
 )
@@ -80,6 +81,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     q = parse_permutation(args.pattern)
+    require_length(args.n)
     store = CacheStore.load(_cache_path(args))
     total = count_avoiders(q, args.n, cache=store, jobs=args.jobs, budget=args.budget)
     _emit(str(total))

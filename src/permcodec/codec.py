@@ -1,17 +1,16 @@
 """Codecs between pattern-avoiding permutations and pairs of restricted words.
 
 A permutation avoiding the length-k staircase pattern is encoded as a
-CodePair: a word indexed by position and the same multiset of letters indexed
-by value. The scheme is recursive in k:
+CodePair: one letter per entry, read by position (w) and by value (wp).
+One pass over the levels k, k-1, ..., 3 letters some of the entries left
+by the level above, on their original values (only relative order counts):
 
-  k = 3       letter 1 on right-to-left maxima, 0 elsewhere.
   k even      canonical red/blue coloring; red entries (a 132-avoider by
-              construction) get letters {1, 2} via their left-to-right
-              minima, blue entries are coded recursively for k-1 and shifted
-              up by 3; the two codes are merged back by position and value.
+              construction) get offset+1 on their left-to-right minima and
+              offset+2 elsewhere; then offset (at first 0) grows by 3.
   k odd >= 5  entries that start an occurrence of the (k-1)-staircase get
-              letter 0 in both words; the remaining entries (which avoid that
-              staircase) are coded recursively for k-1 and merged in.
+              letter offset.
+  k = 3       right-to-left maxima get offset+1, the rest offset.
 
 Decoding inverts each stage greedily: marked extrema are filled in decreasing
 order and the remaining slots take the largest (resp. smallest) value that
@@ -48,9 +47,8 @@ from permcodec.perms import (
     inverse,
     split_by_mask,
     staircase_pattern,
-    standardize,
 )
-from permcodec.words import CodePair, Letters, WordFamily, constant_pair
+from permcodec.words import CodePair, Letters, WordFamily
 
 #: letter assignment per extremal variant: (forbidden pattern, marked, unmarked)
 _EXTREMAL_VARIANTS = {
@@ -132,18 +130,25 @@ def _even_params(k: int) -> ColoringParams:
 
 
 def _encode(p: Perm, k: int) -> CodePair:
-    if k == 3:
-        return encode_extremal(p, RL_MAX)
-    if k % 2 == 0:
-        mask = canonical_coloring(p, _even_params(k))
-        red, blue = split_by_mask(p, mask)
-        pair_red = encode_extremal(standardize(red), LR_MIN)
-        pair_blue = _encode(standardize(blue), k - 1).shift(3)
-        return merge_pair(mask, p, pair_red, pair_blue)
-    starters = occurrence_start_mask(p, staircase_pattern(k - 1))
-    _, plain = split_by_mask(p, starters)
-    zeros = constant_pair(0, len(p) - len(plain))
-    return merge_pair(starters, p, zeros, _encode(standardize(plain), k - 1))
+    letters = [0] * len(p)
+    rest: tuple[int, ...] = tuple(range(len(p)))  # positions not lettered yet
+    offset = 0
+    for level in range(k, 3, -1):
+        values = [p[i] for i in rest]
+        if level % 2:
+            mask = occurrence_start_mask(values, staircase_pattern(level - 1))
+            starts, rest = split_by_mask(rest, mask)
+            for i in starts:
+                letters[i] = offset
+            continue
+        red, rest = split_by_mask(rest, canonical_coloring(values, _even_params(level)))
+        for i, is_min in zip(red, extremal_mask([p[i] for i in red], LR_MIN)):
+            letters[i] = offset + 1 if is_min else offset + 2
+        offset += 3
+    for i, is_max in zip(rest, extremal_mask([p[i] for i in rest], RL_MAX)):
+        letters[i] = offset + 1 if is_max else offset
+    w = tuple(letters)
+    return CodePair(w, _by_value(p, w))
 
 
 def encode_avoider(p: Perm, k: int) -> CodePair:

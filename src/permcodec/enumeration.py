@@ -17,14 +17,17 @@ byte-identical to a single-threaded run.
 from __future__ import annotations
 
 import concurrent.futures
+import os
+import threading
+import time
 from dataclasses import dataclass
 from itertools import permutations
-from math import factorial
+from math import factorial, perm
 from typing import Iterator, Mapping
 
 from permcodec import kernels
 from permcodec.cache import CacheStore
-from permcodec.codec import decode_avoider, encode_avoider
+from permcodec.codec import _decode, _encode
 from permcodec.errors import DomainError, NotInImage, ScaleRefused
 from permcodec.perms import (
     Perm,
@@ -34,7 +37,7 @@ from permcodec.perms import (
     symmetry_class,
     symmetry_orbit,
 )
-from permcodec.words import WordFamily, validate_word
+from permcodec.words import CodePair, WordFamily, validate_word
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -44,18 +47,26 @@ EXAMPLE_CAP = 10
 
 def dfs_node_estimate(n: int) -> int:
     """Upper bound on DFS nodes: the number of injective prefixes over 1..n."""
-    total, term = 0, 1
+    return sum(perm(n, j) for j in range(n + 1))
+
+
+def require_length(n: int) -> None:
+    """Raise DomainError for a negative permutation length."""
+    if n < 0:
+        raise DomainError(f"permutation length must be non-negative, got n={n}")
+
+
+def _ensure_budget(n: int, budget: int, what: str, copies: int = 1) -> None:
+    """Refuse copies * dfs_node_estimate(n) nodes over budget, summing only that far."""
+    require_length(n)
+    total = 0
     for j in range(n + 1):
-        total += term
-        term *= n - j
-    return total
-
-
-def _ensure_budget(estimate: int, budget: int, what: str) -> None:
-    if estimate > budget:
-        raise ScaleRefused(
-            f"{what} needs an estimated {estimate} DFS nodes, over the budget {budget}"
-        )
+        total += copies * perm(n, j)
+        if total > budget:
+            raise ScaleRefused(
+                f"{what} needs an estimated {total} or more DFS nodes, "
+                f"over the budget {budget}"
+            )
 
 
 def enumerate_avoiders(
@@ -66,7 +77,7 @@ def enumerate_avoiders(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> Iterator[Perm]:
     """Yield every length-n avoider of q exactly once, in lexicographic order."""
-    _ensure_budget(dfs_node_estimate(n), budget, f"enumerating avoiders at n={n}")
+    _ensure_budget(n, budget, f"enumerating avoiders at n={n}")
     return _avoider_stream(tuple(q), n, first)
 
 
@@ -102,11 +113,25 @@ def _count_shard(args: tuple[Perm, int, int]) -> int:
     return kernels.count_avoiders_dfs(q, n, first)
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker once the process that started it is gone."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _map_shards(worker, shard_args: list, jobs: int) -> list:
-    """Run shard tasks, in order, sequentially or on a process pool."""
-    if jobs <= 1 or len(shard_args) <= 1:
+    """Run shard tasks in order: in-process, or on min(jobs, shards, CPUs) workers."""
+    workers = min(jobs, len(shard_args), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(args) for args in shard_args]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_exit_with_parent, initargs=(os.getpid(),)
+    ) as pool:
         return list(pool.map(worker, shard_args))
 
 
@@ -119,13 +144,14 @@ def count_avoiders(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
     """Number of length-n avoiders of q, consulting the cache when given."""
+    require_length(n)
     q = tuple(q)
     key = format_permutation(symmetry_class(q)) if len(q) else ""
     if cache is not None:
         hit = cache.get(key, n)
         if hit is not None:
             return hit
-    _ensure_budget(dfs_node_estimate(n), budget, f"counting avoiders at n={n}")
+    _ensure_budget(n, budget, f"counting avoiders at n={n}")
     if n == 0 or len(q) == 0:
         total = kernels.count_avoiders_dfs(q, n)
     else:
@@ -176,44 +202,30 @@ class VerificationReport:
 
 def _verify_shard(args: tuple[int, int, int | None]) -> dict:
     k, n, first = args
-    pattern = staircase_pattern(k)
     family = WordFamily.for_pattern_length(k)
     check_first = k % 2 == 0 and n >= 1
-    images: list[tuple] = []
-    bad_round: list[str] = []
-    bad_image: list[str] = []
-    bad_first: list[str] = []
-    image_violations = 0
-    first_letter_violations = 0
+    counts = {"round_trip": 0, "image": 0, "first_letter": 0}
+    examples: dict[str, list[str]] = {key: [] for key in counts}
     total = 0
-    for p in _avoider_stream(pattern, n, first):
+    for p in _avoider_stream(staircase_pattern(k), n, first):
         total += 1
-        pair = encode_avoider(p, k)
-        text = format_permutation(p)
-        if not (validate_word(pair.w, family) and validate_word(pair.wp, family)):
-            image_violations += 1
-            if len(bad_image) < EXAMPLE_CAP:
-                bad_image.append(text)
-        if check_first and not (pair.w[0] == 1 and pair.wp[0] == 1):
-            first_letter_violations += 1
-            if len(bad_first) < EXAMPLE_CAP:
-                bad_first.append(text)
+        pair = _encode(p, k)
         try:
-            back = decode_avoider(pair, k)
+            back = _decode(pair, k)
         except NotInImage:
             back = None
-        if back != p and len(bad_round) < EXAMPLE_CAP:
-            bad_round.append(text)
-        images.append((pair.w, pair.wp, text, back == p))
-    return {
-        "total": total,
-        "round_trip": bad_round,
-        "image": bad_image,
-        "first_letter": bad_first,
-        "image_violations": image_violations,
-        "first_letter_violations": first_letter_violations,
-        "images": images,
-    }
+        in_family = validate_word(pair.w, family) and validate_word(pair.wp, family)
+        failed = {
+            "round_trip": back != p,
+            "image": not in_family,
+            "first_letter": check_first and not (pair.w[0] == 1 and pair.wp[0] == 1),
+        }
+        for key, bad in failed.items():
+            if bad:
+                counts[key] += 1
+                if len(examples[key]) < EXAMPLE_CAP:
+                    examples[key].append(format_permutation(p))
+    return {"total": total, "counts": counts, "examples": examples}
 
 
 def verify_injection(
@@ -227,56 +239,43 @@ def verify_injection(
 
     Checks, per permutation: both words valid in the family for k, round trip
     back to the same permutation, no code collisions, and (even k) both words
-    starting with letter 1.
+    starting with letter 1. The stream yields only avoiders, and a pair that
+    decodes to p is p's code, so neither is checked again.
     """
     if k < 3:
         raise DomainError(f"pattern length must be at least 3, got {k}")
     if k > 8:
         raise ScaleRefused(f"verification is limited to pattern lengths 3..8, got {k}")
-    _ensure_budget(dfs_node_estimate(n), budget, f"verifying the encoder at n={n}")
+    _ensure_budget(n, budget, f"verifying the encoder at n={n}")
     shard_args: list[tuple[int, int, int | None]]
     if n == 0:
         shard_args = [(k, n, None)]
     else:
         shard_args = [(k, n, first) for first in range(1, n + 1)]
-    shards = _map_shards(_verify_shard, shard_args, jobs)
-
+    counts = {"round_trip": 0, "image": 0, "first_letter": 0, "duplicate": 0}
+    examples: dict[str, list[str]] = {key: [] for key in counts}
     total = 0
-    round_trip_failures = 0
-    examples: dict[str, list[str]] = {
-        "round_trip": [],
-        "image": [],
-        "first_letter": [],
-        "duplicate": [],
-    }
-    counts = {"image": 0, "first_letter": 0}
-    seen: dict[tuple, str] = {}
-    duplicates = 0
-    for shard in shards:
+    for shard in _map_shards(_verify_shard, shard_args, jobs):
         total += shard["total"]
-        for key in ("round_trip", "image", "first_letter"):
-            examples[key].extend(shard[key])
-        for w, wp, text, ok_round in shard["images"]:
-            if not ok_round:
-                round_trip_failures += 1
-            code = (w, wp)
-            if code in seen:
-                duplicates += 1
-                if len(examples["duplicate"]) < EXAMPLE_CAP:
-                    examples["duplicate"].append(f"{seen[code]}={text}")
-            else:
-                seen[code] = text
-    for shard in shards:
-        counts["image"] += shard["image_violations"]
-        counts["first_letter"] += shard["first_letter_violations"]
+        for key, count in shard["counts"].items():
+            counts[key] += count
+            examples[key].extend(shard["examples"][key])
+    if counts["round_trip"]:  # a decoder that inverts every code proves them distinct
+        seen: dict[CodePair, str] = {}
+        for p in _avoider_stream(staircase_pattern(k), n, None):
+            text = format_permutation(p)
+            first = seen.setdefault(_encode(p, k), text)
+            if first != text:
+                counts["duplicate"] += 1
+                examples["duplicate"].append(f"{first}={text}")
     return VerificationReport(
         k=k,
         n=n,
         total=total,
-        round_trip_failures=round_trip_failures,
+        round_trip_failures=counts["round_trip"],
         image_violations=counts["image"],
         first_letter_violations=counts["first_letter"],
-        duplicate_images=duplicates,
+        duplicate_images=counts["duplicate"],
         examples={key: tuple(vals[:EXAMPLE_CAP]) for key, vals in examples.items()},
     )
 
@@ -340,9 +339,7 @@ def scan_classes(
         raise DomainError(f"pattern length must be at least 3, got {k}")
     if k > 5:
         raise ScaleRefused(f"class scans are limited to pattern lengths 3..5, got {k}")
-    _ensure_budget(
-        factorial(k) * dfs_node_estimate(n), budget, f"scanning {k}-classes at n={n}"
-    )
+    _ensure_budget(n, budget, f"scanning {k}-classes at n={n}", copies=factorial(k))
     reps = sorted({symmetry_class(tuple(q)) for q in permutations(range(1, k + 1))})
     entries = []
     for rep in reps:

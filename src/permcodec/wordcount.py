@@ -95,6 +95,8 @@ def bound_table(k: int, n_max: int, counts: Mapping[int, int]) -> list[BoundReco
     """Bound rows for n = 0..n_max; ``counts`` maps n to the exact avoider count."""
     if k < 3:
         raise DomainError(f"pattern length must be at least 3, got {k}")
+    if n_max < 0:
+        raise DomainError(f"the last row must be non-negative, got n_max={n_max}")
     counter = RecurrenceCounter(WordFamily.for_pattern_length(k))
     cap_num = 9 * k * k
     rows = []

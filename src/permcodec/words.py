@@ -129,12 +129,6 @@ class CodePair:
     def letters(self) -> frozenset[int]:
         return frozenset(self.w) | frozenset(self.wp)
 
-    def shift(self, offset: int) -> "CodePair":
-        return CodePair(
-            tuple(x + offset for x in self.w),
-            tuple(x + offset for x in self.wp),
-        )
-
     def to_json(self) -> str:
         return json.dumps(
             {"w": format_word(self.w), "wp": format_word(self.wp)},
@@ -149,7 +143,3 @@ class CodePair:
         except (ValueError, TypeError, KeyError) as exc:
             raise MalformedInput(f"unreadable code pair: {text!r}") from exc
         return cls(parse_word(w), parse_word(wp))
-
-
-def constant_pair(letter: int, count: int) -> CodePair:
-    return CodePair((letter,) * count, (letter,) * count)

@@ -1,8 +1,15 @@
+import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from conftest import run_cli
+from conftest import cli_env, run_cli
 
 
 def test_encode_worked_examples(tmp_path):
@@ -135,6 +142,81 @@ def test_scale_refusal_exits_five(tmp_path):
     assert out.returncode == 5
     assert out.stdout == ""
     assert "budget" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["count", "-q", "132", "-n", "-1"],
+        ["verify", "--k", "4", "-n", "-2"],
+        ["scan", "--k", "3", "-n", "-1"],
+        ["bounds", "--k", "4", "--nmax", "-1"],
+    ],
+)
+def test_negative_lengths_exit_two_before_touching_the_cache(tmp_path, args):
+    # a directory as the cache file: reading or appending to it would exit 6
+    out = run_cli([*args, "--cache", str(tmp_path)], tmp_path)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "non-negative" in out.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_huge_length_is_refused_without_summing_the_estimate(tmp_path):
+    out = run_cli(["count", "-q", "132", "-n", "1000000"], tmp_path, timeout=10)
+    assert out.returncode == 5
+    assert out.stdout == ""
+    assert "budget" in out.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def _live_session_members(sid):
+    """Pids of the processes in session ``sid`` that have not exited."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # fields after the parenthesised command: state ppid pgrp session ...
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the process ended while the scan was running
+            continue
+        if fields[0] != "Z" and int(fields[3]) == sid:
+            members.append(int(stat.parent.name))
+    return members
+
+
+def _eventually(condition, seconds):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+    reason="reads sessions from /proc and needs a two-worker pool",
+)
+def test_pool_workers_exit_when_the_cli_is_killed(tmp_path):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permcodec", "count", "-q", "1324", "-n", "11",
+         "--jobs", "2"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        cwd=tmp_path, env=cli_env(), start_new_session=True,
+    )
+    try:
+        assert _eventually(lambda: len(_live_session_members(proc.pid)) >= 3, 60), (
+            "the two pool workers never started"
+        )
+        proc.kill()  # the parent only; its workers stay in the session
+        proc.wait()
+        assert _eventually(lambda: not _live_session_members(proc.pid), 5), (
+            f"workers still running: {_live_session_members(proc.pid)}"
+        )
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ from math import factorial
 import pytest
 
 import oracles
+from permcodec import enumeration
 from permcodec.cache import CacheStore
+from permcodec.codec import decode_avoider
 from permcodec.enumeration import (
     ClassCount,
     count_avoiders,
@@ -13,16 +15,28 @@ from permcodec.enumeration import (
     scan_classes,
     verify_injection,
 )
-from permcodec.errors import DomainError, ScaleRefused
+from permcodec.errors import DomainError, NotInImage, ScaleRefused
 from permcodec.perms import staircase_pattern
 
 
 def test_node_estimate_counts_injective_prefixes():
-    for n in range(0, 8):
+    for n in [*range(0, 8), 30]:
         want = sum(
             factorial(n) // factorial(n - j) for j in range(0, n + 1)
         )
         assert dfs_node_estimate(n) == want
+
+
+def test_budget_refuses_exactly_past_the_estimate():
+    q = staircase_pattern(4)
+    estimate = dfs_node_estimate(6)
+    assert count_avoiders(q, 6, budget=estimate) == 513
+    with pytest.raises(ScaleRefused):
+        count_avoiders(q, 6, budget=estimate - 1)
+    with pytest.raises(ScaleRefused):
+        scan_classes(3, 4, budget=6 * dfs_node_estimate(4) - 1)
+    with pytest.raises(DomainError):
+        list(enumerate_avoiders(q, -1))
 
 
 def test_enumeration_matches_brute_force_in_order():
@@ -88,6 +102,82 @@ def test_verify_injection_parallel_matches_serial():
     serial = verify_injection(4, 6)
     parallel = verify_injection(4, 6, jobs=4)
     assert serial == parallel
+
+
+class _RecordingPool:
+    """Stands in for the process pool: records its size, runs shards in-process.
+
+    The worker initializer is not called: it would watch the test process's
+    parent and end the test process.
+    """
+
+    sizes: list = []
+
+    def __init__(self, max_workers, **_):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+
+@pytest.mark.parametrize(
+    "cpus, n, jobs, size",
+    [
+        (4, 6, 10**9, 4),  # clamped to the CPU count
+        (4, 3, 10**9, 3),  # clamped to the shard count
+        (4, 6, 2, 2),
+        (4, 6, 1, None),  # serial: no pool
+        (None, 6, 8, None),  # unknown CPU count counts as one
+    ],
+)
+def test_pool_size_is_clamped(monkeypatch, cpus, n, jobs, size):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    pool_module = enumeration.concurrent.futures
+    monkeypatch.setattr(pool_module, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
+    q = staircase_pattern(4)
+    assert count_avoiders(q, n, jobs=jobs) == len(oracles.brute_avoiders(q, n))
+    report = verify_injection(4, n, jobs=jobs)
+    assert report.passed and report.total == len(oracles.brute_avoiders(q, n))
+    assert _RecordingPool.sizes == ([] if size is None else [size, size])
+
+
+@pytest.mark.parametrize("victims", [1, 12])
+def test_verify_injection_reports_code_collisions(monkeypatch, victims):
+    k, n = 4, 5
+    avoiders = list(enumerate_avoiders(staircase_pattern(k), n))
+    target, collide = avoiders[7], set(avoiders[20:20 + victims])
+    real = enumeration._encode
+
+    def colliding(p, k):
+        return real(target if p in collide else p, k)
+
+    monkeypatch.setattr(enumeration, "_encode", colliding)
+    report = verify_injection(k, n, jobs=1)
+
+    round_trip_failures = 0
+    seen, duplicates = {}, []
+    for p in avoiders:
+        code, text = colliding(p, k), "".join(map(str, p))
+        try:
+            back = decode_avoider(code, k)
+        except NotInImage:
+            back = None
+        round_trip_failures += back != p
+        if code in seen:
+            duplicates.append(f"{seen[code]}={text}")
+        else:
+            seen[code] = text
+    assert report.round_trip_failures == round_trip_failures == victims
+    assert report.duplicate_images == len(duplicates) == victims
+    assert list(report.examples["duplicate"]) == duplicates[:10]
+    assert not report.passed
 
 
 def test_verify_report_dict_shape():

@@ -7,7 +7,6 @@ from permcodec.errors import DomainError, LengthMismatch, MalformedInput
 from permcodec.words import (
     CodePair,
     WordFamily,
-    constant_pair,
     format_word,
     parse_word,
     validate_word,
@@ -90,7 +89,6 @@ def test_code_pair():
     pair = CodePair((1, 2), (2, 1))
     assert len(pair) == 2
     assert pair.letters == frozenset({1, 2})
-    assert pair.shift(3) == CodePair((4, 5), (5, 4))
     with pytest.raises(LengthMismatch):
         CodePair((1,), (1, 2))
 
@@ -108,8 +106,3 @@ def test_code_pair_json_rejects_garbage():
         CodePair.from_json("{")
     with pytest.raises(MalformedInput):
         CodePair.from_json('{"w":"1"}')
-
-
-def test_constant_pair():
-    assert constant_pair(0, 3) == CodePair((0, 0, 0), (0, 0, 0))
-    assert constant_pair(5, 0) == CodePair((), ())
