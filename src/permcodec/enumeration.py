@@ -19,10 +19,9 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import threading
-import time
 from dataclasses import dataclass
 from itertools import permutations
-from math import factorial, perm
+from math import factorial
 from typing import Iterator, Mapping
 
 from permcodec import kernels
@@ -45,9 +44,18 @@ DEFAULT_NODE_BUDGET = 10**9
 EXAMPLE_CAP = 10
 
 
+def _injective_prefix_totals(n: int) -> Iterator[int]:
+    """Running totals of n!/(n-j)! over j = 0..n; the last is dfs_node_estimate(n)."""
+    total, term = 0, 1
+    for j in range(n + 1):
+        total += term
+        yield total
+        term *= n - j
+
+
 def dfs_node_estimate(n: int) -> int:
     """Upper bound on DFS nodes: the number of injective prefixes over 1..n."""
-    return sum(perm(n, j) for j in range(n + 1))
+    return max(_injective_prefix_totals(n), default=0)  # the totals only grow
 
 
 def require_length(n: int) -> None:
@@ -58,15 +66,9 @@ def require_length(n: int) -> None:
 
 def _ensure_budget(n: int, budget: int, what: str, copies: int = 1) -> None:
     """Refuse copies * dfs_node_estimate(n) nodes over budget, summing only that far."""
-    require_length(n)
-    total = 0
-    for j in range(n + 1):
-        total += copies * perm(n, j)
-        if total > budget:
-            raise ScaleRefused(
-                f"{what} needs an estimated {total} or more DFS nodes, "
-                f"over the budget {budget}"
-            )
+    for total in _injective_prefix_totals(n):
+        if copies * total > budget:
+            raise ScaleRefused(f"{what} may need over the budget of {budget} DFS nodes")
 
 
 def enumerate_avoiders(
@@ -77,6 +79,7 @@ def enumerate_avoiders(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> Iterator[Perm]:
     """Yield every length-n avoider of q exactly once, in lexicographic order."""
+    require_length(n)
     _ensure_budget(n, budget, f"enumerating avoiders at n={n}")
     return _avoider_stream(tuple(q), n, first)
 
@@ -113,15 +116,15 @@ def _count_shard(args: tuple[Perm, int, int]) -> int:
     return kernels.count_avoiders_dfs(q, n, first)
 
 
-def _exit_with_parent(parent: int) -> None:
-    """Pool initializer: end this worker once the process that started it is gone."""
+def _exit_with_parent() -> None:
+    """Pool initializer: exit once the process that started the pool dies."""
+    from multiprocessing import parent_process  # already loaded in a worker
+    threading.Thread(target=_exit_after, args=(parent_process(),), daemon=True).start()
 
-    def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(0.2)
-        os._exit(1)
 
-    threading.Thread(target=watch, daemon=True).start()
+def _exit_after(parent) -> None:
+    parent.join()  # the pool's pipe; under forkserver os.getppid() is the fork server
+    os._exit(1)
 
 
 def _map_shards(worker, shard_args: list, jobs: int) -> list:
@@ -130,7 +133,7 @@ def _map_shards(worker, shard_args: list, jobs: int) -> list:
     if workers <= 1:
         return [worker(args) for args in shard_args]
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_exit_with_parent, initargs=(os.getpid(),)
+        max_workers=workers, initializer=_exit_with_parent
     ) as pool:
         return list(pool.map(worker, shard_args))
 
@@ -214,10 +217,9 @@ def _verify_shard(args: tuple[int, int, int | None]) -> dict:
             back = _decode(pair, k)
         except NotInImage:
             back = None
-        in_family = validate_word(pair.w, family) and validate_word(pair.wp, family)
         failed = {
             "round_trip": back != p,
-            "image": not in_family,
+            "image": not all(validate_word(x, family) for x in (pair.w, pair.wp)),
             "first_letter": check_first and not (pair.w[0] == 1 and pair.wp[0] == 1),
         }
         for key, bad in failed.items():
@@ -246,12 +248,10 @@ def verify_injection(
         raise DomainError(f"pattern length must be at least 3, got {k}")
     if k > 8:
         raise ScaleRefused(f"verification is limited to pattern lengths 3..8, got {k}")
+    require_length(n)
     _ensure_budget(n, budget, f"verifying the encoder at n={n}")
-    shard_args: list[tuple[int, int, int | None]]
-    if n == 0:
-        shard_args = [(k, n, None)]
-    else:
-        shard_args = [(k, n, first) for first in range(1, n + 1)]
+    # one shard per first entry; n = 0 has one shard, the empty permutation
+    shard_args = [(k, n, first) for first in range(1, n + 1)] or [(k, n, None)]
     counts = {"round_trip": 0, "image": 0, "first_letter": 0, "duplicate": 0}
     examples: dict[str, list[str]] = {key: [] for key in counts}
     total = 0
@@ -339,6 +339,7 @@ def scan_classes(
         raise DomainError(f"pattern length must be at least 3, got {k}")
     if k > 5:
         raise ScaleRefused(f"class scans are limited to pattern lengths 3..5, got {k}")
+    require_length(n)
     _ensure_budget(n, budget, f"scanning {k}-classes at n={n}", copies=factorial(k))
     reps = sorted({symmetry_class(tuple(q)) for q in permutations(range(1, k + 1))})
     entries = []

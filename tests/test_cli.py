@@ -193,21 +193,36 @@ def _eventually(condition, seconds):
     return True
 
 
+#: runs the CLI's main() after fixing the multiprocessing start method to argv[1]
+_CLI_WITH_START_METHOD = (
+    "import multiprocessing, sys\n"
+    "from permcodec.cli import main\n"
+    "multiprocessing.set_start_method(sys.argv[1])\n"
+    "sys.exit(main(sys.argv[2:]))\n"
+)
+
+
 @pytest.mark.skipif(
     not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
     reason="reads sessions from /proc and needs a two-worker pool",
 )
-def test_pool_workers_exit_when_the_cli_is_killed(tmp_path):
+@pytest.mark.parametrize("method", [None, "fork", "forkserver", "spawn"])
+def test_pool_workers_exit_when_the_cli_is_killed(tmp_path, method):
+    count = ["count", "-q", "1324", "-n", "11", "--jobs", "2"]
+    if method is None:  # the interpreter's default start method
+        argv = [sys.executable, "-m", "permcodec", *count]
+    else:
+        argv = [sys.executable, "-c", _CLI_WITH_START_METHOD, method, *count]
+    # the CLI and its two workers, plus the fork server that starts them
+    members = 4 if method == "forkserver" else 3
     proc = subprocess.Popen(
-        [sys.executable, "-m", "permcodec", "count", "-q", "1324", "-n", "11",
-         "--jobs", "2"],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         cwd=tmp_path, env=cli_env(), start_new_session=True,
     )
     try:
-        assert _eventually(lambda: len(_live_session_members(proc.pid)) >= 3, 60), (
-            "the two pool workers never started"
-        )
+        assert _eventually(
+            lambda: len(_live_session_members(proc.pid)) >= members, 60
+        ), "the two pool workers never started"
         proc.kill()  # the parent only; its workers stay in the session
         proc.wait()
         assert _eventually(lambda: not _live_session_members(proc.pid), 5), (

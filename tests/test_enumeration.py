@@ -1,3 +1,6 @@
+import concurrent.futures
+import functools
+import multiprocessing
 from itertools import permutations
 from math import factorial
 
@@ -104,11 +107,26 @@ def test_verify_injection_parallel_matches_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_real_pool_under_each_start_method(monkeypatch, method):
+    # two real workers, started the way the method starts them (under
+    # forkserver a worker's parent is the fork server, not this process)
+    pool = functools.partial(
+        concurrent.futures.ProcessPoolExecutor,
+        mp_context=multiprocessing.get_context(method),
+    )
+    monkeypatch.setattr(enumeration.concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    q = staircase_pattern(4)
+    assert count_avoiders(q, 6, jobs=2) == count_avoiders(q, 6)
+    assert verify_injection(4, 6, jobs=2) == verify_injection(4, 6)
+
+
 class _RecordingPool:
     """Stands in for the process pool: records its size, runs shards in-process.
 
-    The worker initializer is not called: it would watch the test process's
-    parent and end the test process.
+    The worker initializer is not called: in the test process its watcher
+    thread would end the test run if the runner's parent exited.
     """
 
     sizes: list = []
