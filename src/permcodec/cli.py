@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -45,11 +46,16 @@ from permcodec.wordcount import (
     bound_row_dict,
     bound_rows_csv,
     bound_table,
+    closed_form,
     count_words,
 )
 from permcodec.words import CodePair, WordFamily, parse_word
 
 DEFAULT_CACHE = "permcodec-cache.jsonl"
+
+#: digits `words` prints at most where the interpreter sets no int-to-text
+#: limit (CPython's default limit)
+DEFAULT_DIGIT_LIMIT = 4300
 
 
 def _cache_path(args: argparse.Namespace) -> str:
@@ -93,15 +99,25 @@ def cmd_words(args: argparse.Namespace) -> int:
     if args.n is None:
         _emit(family.describe())
         return 0
-    _emit(str(count_words(family, args.n)))
+    # the count is at least root1**n, so this refuses only what cannot print
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or DEFAULT_DIGIT_LIMIT
+    too_long = f"the count for n={args.n} has over {limit} digits"
+    if args.n * math.log10(closed_form(family).root1) > limit + 1:
+        raise ScaleRefused(too_long)
+    count = count_words(family, args.n)
+    try:
+        _emit(str(count))
+    except ValueError as exc:  # the interpreter's int-to-text limit
+        raise ScaleRefused(too_long) from exc
     return 0
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     q = staircase_pattern(args.k)
+    # last row first: the budget refuses a huge --nmax before any counting
     counts = {
         n: count_avoiders(q, n, jobs=args.jobs, budget=args.budget)
-        for n in range(args.nmax + 1)
+        for n in range(args.nmax, -1, -1)
     }
     rows = bound_table(args.k, args.nmax, counts)
     if args.format == "json":

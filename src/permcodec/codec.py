@@ -12,12 +12,16 @@ by the level above, on their original values (only relative order counts):
               letter offset.
   k = 3       right-to-left maxima get offset+1, the rest offset.
 
-Decoding inverts each stage greedily: marked extrema are filled in decreasing
-order and the remaining slots take the largest (resp. smallest) value that
-does not disturb the marking; 0-marked values are reinserted right to left,
-each slot taking the largest value that still starts an occurrence of the
-(k-1)-staircase there. The greedy result is trusted only when re-encoding
-reproduces the input pair exactly; otherwise the pair is not in the image.
+Decoding is one greedy pass over the same levels, inside out (3, 4, ..., k),
+filling a single output in place: each letter names its level, so each level
+reads its positions from w and its values from wp, and no sub-code is
+reassembled. At the base level and at each even level, the marked extrema
+take their values in decreasing order, and the other slots take the largest
+(resp. smallest) value that keeps the marking. At an odd level, right to
+left, each offset-lettered slot takes the largest value that still starts
+an occurrence of the (level-1)-staircase ahead of the filled entries to its
+right. The greedy result is trusted only when re-encoding reproduces the
+input pair exactly; otherwise the pair is not in the image.
 
 On valid input both words lie in the word family for k and share one letter
 multiset; the encoding is injective (verified exhaustively in tests).
@@ -129,24 +133,39 @@ def _even_params(k: int) -> ColoringParams:
     return ColoringParams((1,), (1,), tail)
 
 
+def _levels(k: int) -> list[tuple[int, int]]:
+    """(level, letter offset) for the levels k, k-1, ..., 3, outside in.
+
+    Each even level uses the letters offset+1 (marked) and offset+2 and moves
+    the offset up by 3; an odd level >= 5 uses the letter offset; the base
+    level 3 uses offset+1 (marked) and offset.
+    """
+    schedule = []
+    offset = 0
+    for level in range(k, 2, -1):
+        schedule.append((level, offset))
+        if level % 2 == 0:
+            offset += 3
+    return schedule
+
+
 def _encode(p: Perm, k: int) -> CodePair:
     letters = [0] * len(p)
     rest: tuple[int, ...] = tuple(range(len(p)))  # positions not lettered yet
-    offset = 0
-    for level in range(k, 3, -1):
+    for level, offset in _levels(k):
         values = [p[i] for i in rest]
-        if level % 2:
+        if level == 3:
+            for i, is_max in zip(rest, extremal_mask(values, RL_MAX)):
+                letters[i] = offset + 1 if is_max else offset
+        elif level % 2:
             mask = occurrence_start_mask(values, staircase_pattern(level - 1))
             starts, rest = split_by_mask(rest, mask)
             for i in starts:
                 letters[i] = offset
-            continue
-        red, rest = split_by_mask(rest, canonical_coloring(values, _even_params(level)))
-        for i, is_min in zip(red, extremal_mask([p[i] for i in red], LR_MIN)):
-            letters[i] = offset + 1 if is_min else offset + 2
-        offset += 3
-    for i, is_max in zip(rest, extremal_mask([p[i] for i in rest], RL_MAX)):
-        letters[i] = offset + 1 if is_max else offset
+        else:
+            red, rest = split_by_mask(rest, canonical_coloring(values, _even_params(level)))
+            for i, is_min in zip(red, extremal_mask([p[i] for i in red], LR_MIN)):
+                letters[i] = offset + 1 if is_min else offset + 2
     w = tuple(letters)
     return CodePair(w, _by_value(p, w))
 
@@ -191,136 +210,71 @@ def encode_length4_direct(p: Perm) -> CodePair:
 # decoding
 
 
-def _decode_rl_max(w: Letters, wp: Letters) -> Perm:
-    """Rebuild a 213-avoider from its rl-maxima marking (letters {0,1})."""
-    n = len(w)
-    if n == 0:
-        return ()
-    if w[-1] != 1:
-        raise NotInImage("last entry must be marked as a maximum")
-    max_pos = [i for i, x in enumerate(w) if x == 1]
-    max_val = sorted((j + 1 for j, x in enumerate(wp) if x == 1), reverse=True)
-    if len(max_pos) != len(max_val):
-        raise NotInImage("marked positions and marked values disagree in number")
-    out: list[int] = [0] * n
-    limit_right = [0] * n  # value of the nearest marked maximum to the right
-    for pos, val in zip(max_pos, max_val):
-        out[pos] = val
-    current = 0
-    for i in range(n - 1, -1, -1):
-        limit_right[i] = current
-        if out[i]:
-            current = out[i]
-    rest = sorted(v for v in range(1, n + 1) if v not in set(max_val))
-    for i in range(n - 1, -1, -1):
-        if out[i]:
-            continue
-        at = bisect_left(rest, limit_right[i]) - 1
-        if at < 0:
-            raise NotInImage("no unmarked value fits below the next maximum")
-        out[i] = rest.pop(at)
-    return tuple(out)
-
-
-def _decode_lr_min(w: Letters, wp: Letters) -> Perm:
-    """Rebuild a 132-avoider from its lr-minima marking (letters {1,2})."""
-    n = len(w)
-    if n == 0:
-        return ()
-    if w[0] != 1:
-        raise NotInImage("first entry must be marked as a minimum")
-    min_pos = [i for i, x in enumerate(w) if x == 1]
-    min_val = sorted((j + 1 for j, x in enumerate(wp) if x == 1), reverse=True)
-    if len(min_pos) != len(min_val):
-        raise NotInImage("marked positions and marked values disagree in number")
-    out: list[int] = [0] * n
-    for pos, val in zip(min_pos, min_val):
-        out[pos] = val
-    rest = sorted(v for v in range(1, n + 1) if v not in set(min_val))
-    floor = 0  # value of the most recent marked minimum
-    for i in range(n):
-        if out[i]:
-            floor = out[i]
-            continue
-        at = bisect_right(rest, floor)
-        if at >= len(rest):
-            raise NotInImage("no unmarked value stays above the running minimum")
-        out[i] = rest.pop(at)
-    return tuple(out)
-
-
-def _assemble(n: int, mask: list[bool], values_first: list[int],
-              pattern_first: Perm, pattern_second: Perm) -> Perm:
-    """Place two patterns over their value sets along a position mask."""
-    values_second = sorted(set(range(1, n + 1)) - set(values_first))
-    values_first = sorted(values_first)
-    first = [values_first[r - 1] for r in pattern_first]
-    second = [values_second[r - 1] for r in pattern_second]
-    out = []
-    i = j = 0
-    for hit in mask:
-        if hit:
-            out.append(first[i])
-            i += 1
-        else:
-            out.append(second[j])
-            j += 1
-    return tuple(out)
-
-
 def _decode(pair: CodePair, k: int) -> Perm:
-    w, wp = pair.w, pair.wp
-    if k == 3:
-        return _decode_rl_max(w, wp)
-    n = len(pair)
-    if k % 2 == 0:
-        red_mask = [x <= 2 for x in w]
-        red_values = [j + 1 for j, x in enumerate(wp) if x <= 2]
-        sub_w = tuple(x for x in w if x <= 2)
-        sub_wp = tuple(x for x in wp if x <= 2)
-        if len(sub_w) != len(sub_wp):
-            raise NotInImage("red letters disagree in number between the words")
-        red_pattern = _decode_lr_min(sub_w, sub_wp)
-        blue = CodePair(
-            tuple(x - 3 for x in w if x >= 3),
-            tuple(x - 3 for x in wp if x >= 3),
-        )
-        blue_pattern = _decode(blue, k - 1)
-        return _assemble(n, red_mask, red_values, red_pattern, blue_pattern)
+    """Greedy inverse of _encode, one level at a time from the base level out.
 
-    # odd k >= 5: zeros mark values inserted greedily after the rest decodes
-    marker = staircase_pattern(k - 1)
-    plain_mask = [x > 0 for x in w]
-    plain_values = [j + 1 for j, x in enumerate(wp) if x > 0]
-    sub = CodePair(
-        tuple(x for x in w if x > 0),
-        tuple(x for x in wp if x > 0),
-    )
-    plain_pattern = _decode(sub, k - 1)
-    if len(plain_pattern) != len(plain_values):
-        raise NotInImage("zero letters disagree in number between the words")
-    plain_sorted = sorted(plain_values)
-    placed: list[int | None] = [None] * n
-    at = 0
-    for i, keep in enumerate(plain_mask):
-        if keep:
-            placed[i] = plain_sorted[plain_pattern[at] - 1]
-            at += 1
-    inserted = sorted(set(range(1, n + 1)) - set(plain_values))
-    for i in range(n - 1, -1, -1):
-        if plain_mask[i]:
-            continue
-        suffix = tuple(v for v in placed[i + 1:] if v is not None)
-        choice = None
-        for v in reversed(inserted):
-            if kernels.has_occurrence_starting_at((v, *suffix), marker, 0):
-                choice = v
-                break
-        if choice is None:
-            raise NotInImage("no remaining value starts the required pattern here")
-        inserted.remove(choice)
-        placed[i] = choice
-    return tuple(v for v in placed if v is not None)
+    Each level fills its own positions of one output list with its own
+    values, both read off its letters, so the deeper levels are final when
+    an odd level reads them. Only relative order counts, so working on the
+    original values makes the same choices as decoding each level on its
+    own. The two words must share one letter multiset (decode_avoider checks
+    it, and every code from _encode has it): then each level has as many
+    positions as values, and as many marked positions as marked values.
+    """
+    w, wp = pair.w, pair.wp
+    out = [0] * len(w)
+    for level, offset in reversed(_levels(k)):
+        if level == 3:
+            # rl-max greedy: right to left, the marked values rise, and each
+            # other slot takes the largest value below the next maximum
+            slots = [i for i, x in enumerate(w) if x >= offset]
+            if slots and w[slots[-1]] != offset + 1:
+                raise NotInImage("last entry must be marked as a maximum")
+            maxima = iter([v for v, x in enumerate(wp, 1) if x == offset + 1])
+            rest = [v for v, x in enumerate(wp, 1) if x == offset]
+            limit = 0
+            for i in reversed(slots):
+                if w[i] != offset:
+                    limit = out[i] = next(maxima)
+                    continue
+                at = bisect_left(rest, limit) - 1
+                if at < 0:
+                    raise NotInImage("no unmarked value fits below the next maximum")
+                out[i] = rest.pop(at)
+        elif level % 2 == 0:
+            # lr-min greedy: left to right, the marked values fall, and each
+            # other slot takes the smallest value above the latest minimum
+            slots = [i for i, x in enumerate(w) if offset < x <= offset + 2]
+            if slots and w[slots[0]] != offset + 1:
+                raise NotInImage("first entry must be marked as a minimum")
+            minima = [v for v, x in enumerate(wp, 1) if x == offset + 1]
+            rest = [v for v, x in enumerate(wp, 1) if x == offset + 2]
+            floor = 0
+            for i in slots:
+                if w[i] != offset + 2:
+                    floor = out[i] = minima.pop()
+                    continue
+                at = bisect_right(rest, floor)
+                if at >= len(rest):
+                    raise NotInImage("no unmarked value stays above the running minimum")
+                out[i] = rest.pop(at)
+        else:
+            # right to left, each slot lettered offset takes the largest value
+            # that starts a (level-1)-staircase with the filled entries after it
+            marker = staircase_pattern(level - 1)
+            slots = [i for i, x in enumerate(w) if x >= offset]
+            inserted = [v for v, x in enumerate(wp, 1) if x == offset]
+            for at in range(len(slots) - 1, -1, -1):
+                if w[slots[at]] != offset:
+                    continue
+                suffix = tuple(out[j] for j in slots[at + 1:])
+                for r in range(len(inserted) - 1, -1, -1):
+                    if kernels.has_occurrence_starting_at((inserted[r], *suffix), marker, 0):
+                        out[slots[at]] = inserted.pop(r)
+                        break
+                else:
+                    raise NotInImage("no remaining value starts the required pattern here")
+    return tuple(out)
 
 
 def decode_avoider(pair: CodePair, k: int) -> Perm:

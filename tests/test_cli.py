@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import os
 import signal
 import subprocess
@@ -10,6 +11,9 @@ from pathlib import Path
 import pytest
 
 from conftest import cli_env, run_cli
+from permcodec.cli import main
+from permcodec.wordcount import RecurrenceCounter, closed_form, count_words
+from permcodec.words import WordFamily
 
 
 def test_encode_worked_examples(tmp_path):
@@ -168,6 +172,52 @@ def test_huge_length_is_refused_without_summing_the_estimate(tmp_path):
     assert out.stdout == ""
     assert "budget" in out.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bounds_refuses_a_huge_last_row_before_counting(tmp_path):
+    out = run_cli(["bounds", "--k", "4", "--nmax", "1000000"], tmp_path, timeout=10)
+    assert out.returncode == 5
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("n", [8000, 200000, 10**12])
+def test_words_refuses_counts_too_long_to_print(tmp_path, n):
+    out = run_cli(["words", "--m", "2", "--parity", "even", "-n", str(n)], tmp_path, timeout=5)
+    assert out.returncode == 5
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+
+
+def test_words_still_prints_long_counts(tmp_path):
+    out = run_cli(["words", "--m", "2", "--parity", "even", "-n", "7000"], tmp_path)
+    assert out.returncode == 0
+    assert out.stdout == f"{count_words(WordFamily(2, 'even'), 7000)}\n"
+
+
+def test_words_prints_every_count_below_the_digit_limit(capsys):
+    # at the interpreter's smallest digit limit, each n around the boundary
+    # prints its exact count or exits 5, whichever side of the limit it is on
+    limit = 640
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for family in (WordFamily(2, "even"), WordFamily(2, "odd"), WordFamily(4, "odd")):
+            counter = RecurrenceCounter(family)
+            first = int((limit - 20) / math.log10(closed_form(family).root1))
+            codes = set()
+            for n in range(first, first + 120):
+                code = main(["words", "--m", str(family.m), "--parity", family.parity,
+                             "-n", str(n)])
+                out = capsys.readouterr().out
+                if counter.count(n) < 10**limit:
+                    assert (code, out) == (0, f"{counter.count(n)}\n")
+                else:
+                    assert (code, out) == (5, "")
+                codes.add(code)
+            assert codes == {0, 5}
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _live_session_members(sid):

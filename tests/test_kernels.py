@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import cli_env
 from permcodec import _pure, kernels
 
 try:
@@ -36,7 +37,7 @@ def test_compiled_backend_is_selected_by_default():
 
 
 def test_env_variable_forces_pure_backend():
-    env = dict(os.environ, PERMCODEC_PURE="1")
+    env = cli_env({"PERMCODEC_PURE": "1"})
     out = subprocess.run(
         [sys.executable, "-c", "from permcodec import kernels; print(kernels.BACKEND)"],
         capture_output=True, text=True, env=env, check=True,
