@@ -14,6 +14,7 @@ each side of the window.
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Sequence
 
 BACKEND = "pure"
@@ -126,6 +127,8 @@ def count_avoiders_dfs(q: Sequence[int], n: int, first: int = 0) -> int:
         return 1
     if k == 1:
         return 0
+    if k > n:  # q never occurs
+        return factorial(n - 1) if first else factorial(n)
     lo, hi = _bounds(q, [k - 1, *range(k - 1)])
     chosen = [0] * k
     pos = [0] * k

@@ -27,6 +27,7 @@ from permcodec.cache import CacheStore
 from permcodec.codec import decode_avoider, encode_avoider
 from permcodec.enumeration import (
     DEFAULT_NODE_BUDGET,
+    _ensure_budget,
     count_avoiders,
     require_length,
     scan_classes,
@@ -46,15 +47,15 @@ from permcodec.wordcount import (
     bound_row_dict,
     bound_rows_csv,
     bound_table,
-    closed_form,
     count_words,
+    format_cell,
 )
 from permcodec.words import CodePair, WordFamily, parse_word
 
 DEFAULT_CACHE = "permcodec-cache.jsonl"
 
-#: digits `words` prints at most where the interpreter sets no int-to-text
-#: limit (CPython's default limit)
+#: digits `words` and `bounds` print at most where the interpreter sets no
+#: int-to-text limit (CPython's default limit)
 DEFAULT_DIGIT_LIMIT = 4300
 
 
@@ -94,15 +95,22 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+def _digit_limit() -> int:
+    """Digits the interpreter turns into text at most."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or DEFAULT_DIGIT_LIMIT
+
+
 def cmd_words(args: argparse.Namespace) -> int:
     family = WordFamily(args.m, args.parity)
     if args.n is None:
         _emit(family.describe())
         return 0
-    # the count is at least root1**n, so this refuses only what cannot print
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or DEFAULT_DIGIT_LIMIT
+    limit = _digit_limit()
     too_long = f"the count for n={args.n} has over {limit} digits"
-    if args.n * math.log10(closed_form(family).root1) > limit + 1:
+    # the count is at least root1**n, root1 = (A + sqrt(A*A - 4B)) / 2, so this
+    # refuses only what cannot print; integers only, since A may not fit a float
+    a, b = family.recurrence
+    if args.n * (math.log10(a + math.isqrt(a * a - 4 * b)) - math.log10(2)) > limit + 1:
         raise ScaleRefused(too_long)
     count = count_words(family, args.n)
     try:
@@ -113,21 +121,31 @@ def cmd_words(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    q = staircase_pattern(args.k)
-    # last row first: the budget refuses a huge --nmax before any counting
+    # last row first: the budget refuses a huge --nmax before any pattern is
+    # built or counted; a pattern longer than a row never occurs in it, so
+    # nmax + 1 entries give every row's count
+    if args.k >= 3:  # else staircase_pattern refuses k
+        _ensure_budget(args.nmax, args.budget, f"counting avoiders at n={args.nmax}")
+    q = staircase_pattern(min(args.k, max(args.nmax + 1, 3)))
     counts = {
         n: count_avoiders(q, n, jobs=args.jobs, budget=args.budget)
         for n in range(args.nmax, -1, -1)
     }
     rows = bound_table(args.k, args.nmax, counts)
-    if args.format == "json":
-        _emit(json.dumps([bound_row_dict(r) for r in rows]))
-    elif args.format == "csv":
-        for line in bound_rows_csv(rows):
-            _emit(line)
-    else:
-        for record in map(bound_row_dict, rows):
-            _emit(" ".join(f"{key}={_plain(value)}" for key, value in record.items()))
+    try:
+        if args.format == "json":
+            lines = [json.dumps([bound_row_dict(r) for r in rows])]
+        elif args.format == "csv":
+            lines = bound_rows_csv(rows)
+        else:
+            lines = [
+                " ".join(f"{key}={_plain(value)}" for key, value in bound_row_dict(r).items())
+                for r in rows
+            ]
+    except ValueError as exc:  # the interpreter's int-to-text limit
+        raise ScaleRefused(f"a bound row has over {_digit_limit()} digits") from exc
+    for line in lines:
+        _emit(line)
     return 0
 
 
@@ -170,13 +188,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _plain(value) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "-"
-    return str(value)
+    return "-" if value is None else format_cell(value)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -128,42 +128,46 @@ def merge_pair(mask, p: Perm, pair_a: CodePair, pair_b: CodePair) -> CodePair:
     return CodePair(tuple(w), tuple(wp))
 
 
-def _even_params(k: int) -> ColoringParams:
-    tail = staircase_pattern(k - 3) if k >= 6 else (1,)
-    return ColoringParams((1,), (1,), tail)
+#: even levels color against red_pattern = 1 (+) (1 (-) 1) = 132, the only
+#: part of the parameters canonical_coloring reads
+_EVEN_PARAMS = ColoringParams((1,), (1,), (1,))
 
 
-def _levels(k: int) -> list[tuple[int, int]]:
-    """(level, letter offset) for the levels k, k-1, ..., 3, outside in.
+def _offset(level: int, k: int) -> int:
+    """The letter offset of a level in the code for k: 3 per even level above it.
 
-    Each even level uses the letters offset+1 (marked) and offset+2 and moves
-    the offset up by 3; an odd level >= 5 uses the letter offset; the base
-    level 3 uses offset+1 (marked) and offset.
+    An even level uses the letters offset+1 (marked) and offset+2; an odd
+    level >= 5 uses the letter offset; the base level 3 uses offset+1
+    (marked) and offset.
     """
-    schedule = []
-    offset = 0
-    for level in range(k, 2, -1):
-        schedule.append((level, offset))
-        if level % 2 == 0:
-            offset += 3
-    return schedule
+    return 3 * (k // 2 - level // 2)
+
+
+def _level(letter: int, k: int) -> int:
+    """The level whose letters include ``letter`` (the inverse of _offset)."""
+    return max(3, 2 * (k // 2 - letter // 3) + (letter % 3 == 0))
 
 
 def _encode(p: Perm, k: int) -> CodePair:
     letters = [0] * len(p)
     rest: tuple[int, ...] = tuple(range(len(p)))  # positions not lettered yet
-    for level, offset in _levels(k):
+    for level in range(k, 2, -1):  # outside in; each even level letters >= 1 entry
+        if not rest:
+            break
+        offset = _offset(level, k)
         values = [p[i] for i in rest]
         if level == 3:
             for i, is_max in zip(rest, extremal_mask(values, RL_MAX)):
                 letters[i] = offset + 1 if is_max else offset
         elif level % 2:
+            if level - 1 > len(rest):
+                continue  # no entry starts a marker longer than the rest
             mask = occurrence_start_mask(values, staircase_pattern(level - 1))
             starts, rest = split_by_mask(rest, mask)
             for i in starts:
                 letters[i] = offset
         else:
-            red, rest = split_by_mask(rest, canonical_coloring(values, _even_params(level)))
+            red, rest = split_by_mask(rest, canonical_coloring(values, _EVEN_PARAMS))
             for i, is_min in zip(red, extremal_mask([p[i] for i in red], LR_MIN)):
                 letters[i] = offset + 1 if is_min else offset + 2
     w = tuple(letters)
@@ -181,7 +185,8 @@ def encode_avoider(p: Perm, k: int) -> CodePair:
     """
     if k < 3:
         raise DomainError(f"pattern length must be at least 3, got {k}")
-    _require_avoids(p, staircase_pattern(k))
+    if k <= len(p):  # a longer pattern never occurs
+        _require_avoids(p, staircase_pattern(k))
     return _encode(p, k)
 
 
@@ -192,7 +197,7 @@ def encode_length4_direct(p: Perm) -> CodePair:
     blue right-to-left maximum of the blue subsequence 4.
     """
     _require_avoids(p, staircase_pattern(4))
-    mask = canonical_coloring(p, ColoringParams((1,), (1,), (1,)))
+    mask = canonical_coloring(p, _EVEN_PARAMS)
     red, blue = split_by_mask(p, mask)
     red_min = dict(zip(red, extremal_mask(red, LR_MIN)))
     blue_max = dict(zip(blue, extremal_mask(blue, RL_MAX)))
@@ -223,7 +228,8 @@ def _decode(pair: CodePair, k: int) -> Perm:
     """
     w, wp = pair.w, pair.wp
     out = [0] * len(w)
-    for level, offset in reversed(_levels(k)):
+    for level in sorted({_level(x, k) for x in w}):  # a level without letters fills nothing
+        offset = _offset(level, k)
         if level == 3:
             # rl-max greedy: right to left, the marked values rise, and each
             # other slot takes the largest value below the next maximum
@@ -261,8 +267,10 @@ def _decode(pair: CodePair, k: int) -> Perm:
         else:
             # right to left, each slot lettered offset takes the largest value
             # that starts a (level-1)-staircase with the filled entries after it
-            marker = staircase_pattern(level - 1)
             slots = [i for i, x in enumerate(w) if x >= offset]
+            if level - 1 > len(slots):
+                raise NotInImage("too few entries to start the required pattern")
+            marker = staircase_pattern(level - 1)
             inserted = [v for v, x in enumerate(wp, 1) if x == offset]
             for at in range(len(slots) - 1, -1, -1):
                 if w[slots[at]] != offset:

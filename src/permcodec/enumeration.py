@@ -19,7 +19,7 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import permutations
 from math import factorial
 from typing import Iterator, Mapping
@@ -190,17 +190,9 @@ class VerificationReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "total": self.total,
-            "round_trip_failures": self.round_trip_failures,
-            "image_violations": self.image_violations,
-            "first_letter_violations": self.first_letter_violations,
-            "duplicate_images": self.duplicate_images,
-            "passed": self.passed,
-            "examples": {key: list(values) for key, values in self.examples.items()},
-        }
+        record = asdict(self)
+        examples = record.pop("examples")
+        return {**record, "passed": self.passed, "examples": examples}
 
 
 def _verify_shard(args: tuple[int, int, int | None]) -> dict:
@@ -292,12 +284,7 @@ class ClassCount:
     growth_ratio: float | None  # observed count ratio against n-1
 
     def to_dict(self) -> dict:
-        return {
-            "representative": self.representative,
-            "count": self.count,
-            "layered": self.layered,
-            "growth_ratio": self.growth_ratio,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -311,15 +298,7 @@ class ConjectureReport:
     staircase_is_max: bool
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "classes": [c.to_dict() for c in self.classes],
-            "max_count": self.max_count,
-            "max_classes": list(self.max_classes),
-            "layered_dominates": self.layered_dominates,
-            "staircase_is_max": self.staircase_is_max,
-        }
+        return asdict(self)
 
 
 def scan_classes(

@@ -1,8 +1,9 @@
 """Permutations in one-line notation and the structural operations on them.
 
 A permutation of length n is a tuple containing each of 1..n exactly once.
-The text form is compact digits for n <= 9 ("35412") and comma-separated
-values otherwise ("10,1,2,3,4,5,6,7,8,9"); both forms are accepted on input.
+The text form is word text (``permcodec.words``): compact digits for n <= 9
+("35412") and comma-separated values otherwise ("10,1,2,3,4,5,6,7,8,9"), with
+an optional trailing comma; both forms are accepted on input.
 
 Occurrences are witnessed by 1-based index tuples: q occurs in p at indices
 i_1 < ... < i_k when (p[i_1], ..., p[i_k]) is order-isomorphic to q.
@@ -14,6 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 from permcodec import kernels
 from permcodec.errors import DomainError, MalformedInput
+from permcodec.words import format_word, parse_word
 
 Perm = tuple[int, ...]
 
@@ -36,24 +38,14 @@ def validate_permutation(values: Iterable[int]) -> Perm:
 
 
 def parse_permutation(text: str) -> Perm:
-    """Parse the text form (compact digits or comma-separated).
+    """Parse permutation text: the word text grammar of ``parse_word``.
 
     >>> parse_permutation("35412")
     (3, 5, 4, 1, 2)
     >>> parse_permutation("10,1,2,3,4,5,6,7,8,9")[0]
     10
     """
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        if "," in text:
-            values = [int(tok) for tok in text.split(",")]
-        else:
-            values = [int(ch) for ch in text]
-    except ValueError as exc:
-        raise MalformedInput(f"unreadable permutation text: {text!r}") from exc
-    return validate_permutation(values)
+    return validate_permutation(parse_word(text))
 
 
 def format_permutation(p: Sequence[int]) -> str:
@@ -62,9 +54,7 @@ def format_permutation(p: Sequence[int]) -> str:
     >>> format_permutation((3, 5, 4, 1, 2))
     '35412'
     """
-    if len(p) <= 9:
-        return "".join(str(v) for v in p)
-    return ",".join(str(v) for v in p)
+    return format_word(p)
 
 
 def inverse(p: Perm) -> Perm:

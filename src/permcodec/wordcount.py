@@ -122,40 +122,22 @@ def bound_table(k: int, n_max: int, counts: Mapping[int, int]) -> list[BoundReco
 CSV_COLUMNS = ("k", "n", "count", "word_bound_sq", "cap", "ok_word", "ok_cap")
 
 
-def _format_fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def bound_row_dict(r: BoundRecord) -> dict:
     """One record as a dict keyed by the CSV column names."""
-    return {
-        "k": r.k,
-        "n": r.n,
-        "count": r.exact_count,
-        "word_bound_sq": r.word_bound,
-        "cap": _format_fraction(r.cap),
-        "ok_word": r.ok_word,
-        "ok_cap": r.ok_cap,
-    }
+    values = (r.k, r.n, r.exact_count, r.word_bound, str(r.cap), r.ok_word, r.ok_cap)
+    return dict(zip(CSV_COLUMNS, values))
+
+
+def format_cell(value) -> str:
+    """One table cell: true/false for a boolean, empty for a missing value."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
 
 
 def bound_rows_csv(rows: Sequence[BoundRecord]) -> list[str]:
     """CSV lines (header plus one line per record)."""
     lines = [",".join(CSV_COLUMNS)]
     for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(r.k),
-                    str(r.n),
-                    str(r.exact_count),
-                    "" if r.word_bound is None else str(r.word_bound),
-                    _format_fraction(r.cap),
-                    "true" if r.ok_word else "false",
-                    "true" if r.ok_cap else "false",
-                )
-            )
-        )
+        lines.append(",".join(map(format_cell, bound_row_dict(r).values())))
     return lines

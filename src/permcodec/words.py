@@ -50,17 +50,16 @@ class WordFamily:
 
     @property
     def alphabet_size(self) -> int:
-        return len(self.alphabet)
+        return 3 * self.m - 4 if self.parity == "odd" else 3 * self.m - 2
 
     @property
     def forbidden_factors(self) -> tuple[tuple[int, int], ...]:
-        top = self.alphabet[-1]
-        return tuple((3 * i, 3 * i - 1) for i in range(1, top // 3 + 1))
+        return tuple((3 * i, 3 * i - 1) for i in range(1, self.recurrence[1] + 1))
 
     @property
     def recurrence(self) -> tuple[int, int]:
         """(A, B) with counts c_n = A*c_{n-1} - B*c_{n-2}, c_0 = 1, c_1 = A."""
-        return self.alphabet_size, len(self.forbidden_factors)
+        return self.alphabet_size, self.alphabet[-1] // 3
 
     def describe(self) -> str:
         lo, hi = self.alphabet[0], self.alphabet[-1]
@@ -72,8 +71,8 @@ def validate_word(word: Letters, family: WordFamily) -> bool:
     alphabet = family.alphabet
     if any(x not in alphabet for x in word):
         return False
-    forbidden = set(family.forbidden_factors)
-    return all((a, b) not in forbidden for a, b in zip(word, word[1:]))
+    # the forbidden factors (3i)(3i-1), i >= 1, of letters already in the alphabet
+    return not any(a >= 3 and a % 3 == 0 and b == a - 1 for a, b in zip(word, word[1:]))
 
 
 def parse_word(text: str) -> Letters:

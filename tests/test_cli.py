@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import cli_env, run_cli
 from permcodec.cli import main
@@ -218,6 +219,103 @@ def test_words_prints_every_count_below_the_digit_limit(capsys):
             assert codes == {0, 5}
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+#: the pattern 1,2,...,5000: far longer than any permutation counted here
+LONG_PATTERN = ",".join(str(v) for v in range(1, 5001))
+HUGE_M = 10**300
+
+
+@pytest.mark.parametrize(
+    "args,code,stdout",
+    [
+        pytest.param(["encode", "1", "--k", "1000000"], 0, '{"w":"1","wp":"1"}\n',
+                     id="encode-k1e6"),
+        # the same code as at k=1000 and k=1001: the top levels letter nothing
+        pytest.param(["encode", "3612745", "--k", str(10**20 + 1)], 0,
+                     '{"w":"1212245","wp":"1214522"}\n', id="encode-k1e20"),
+        pytest.param(["decode", "0", "0", "--k", "1000001"], 4, "NOT-IN-IMAGE\n",
+                     id="decode-k1e6"),
+        pytest.param(["decode", f"{10**20 - 1},", f"{10**20 - 1},", "--k", str(10**20)], 4,
+                     "NOT-IN-IMAGE\n", id="decode-huge-letter"),
+        pytest.param(["count", "-q", LONG_PATTERN, "-n", "2"], 0, "2\n", id="count-long-pattern"),
+        pytest.param(["bounds", "--k", "10000", "--nmax", "1", "--format", "csv"], 0,
+                     "k,n,count,word_bound_sq,cap,ok_word,ok_cap\n"
+                     "10000,0,1,,1,true,true\n10000,1,1,1,225000000,true,true\n",
+                     id="bounds-k1e4"),
+        pytest.param(["bounds", "--k", str(10**800), "--nmax", "3"], 5, "", id="bounds-long-row"),
+        pytest.param(["words", "--m", str(HUGE_M), "--parity", "odd", "-n", "40"], 5, "",
+                     id="words-m1e300-n40"),
+        pytest.param(["words", "--m", str(HUGE_M), "--parity", "odd", "-n", "1"], 0,
+                     f"{3 * HUGE_M - 4}\n", id="words-m1e300-n1"),
+    ],
+)
+def test_huge_parameters_end_quickly(tmp_path, args, code, stdout):
+    out = run_cli([*args, "--cache", str(tmp_path / "c.jsonl")], tmp_path, timeout=5)
+    assert (out.returncode, out.stdout) == (code, stdout)
+    assert "Traceback" not in out.stderr
+
+
+def test_bounds_counts_every_row_below_a_huge_k(tmp_path):
+    # a pattern longer than the permutation never occurs: every row counts n!
+    out = run_cli(["bounds", "--k", str(10**11), "--nmax", "2", "--format", "json"],
+                  tmp_path, timeout=5)
+    assert out.returncode == 0
+    assert [row["count"] for row in json.loads(out.stdout)] == [1, 1, 2]
+
+
+LENGTHS = [-1, *range(7), 10**6, 10**20, 10**20 + 1]
+PERM_TEXTS = ["", "1", "21", "35412", "3612745", "1324", "1,2,3,", "10,1,2,3,4,5,6,7,8,9",
+              "1x24", "0", "1,1", "-1", "1,,2", ","]
+WORD_TEXTS = ["", "0", "1", "10", "10,", "01101", "01011", "1212234", "1213422",
+              f"{10**20 - 1},", "1a", "-1", "1,,2"]
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for one of the seven subcommands, drawn from fixed value lists."""
+    def value(values):
+        return str(draw(st.sampled_from(values)))
+
+    command = draw(st.sampled_from(
+        ["encode", "decode", "count", "words", "bounds", "verify", "scan"]))
+    if command == "encode":
+        argv = [command, value(PERM_TEXTS), "--k", value(LENGTHS)]
+    elif command == "decode":
+        argv = [command, value(WORD_TEXTS), value(WORD_TEXTS), "--k", value(LENGTHS)]
+    elif command == "count":
+        argv = [command, "-q", value([*PERM_TEXTS, LONG_PATTERN]), "-n", value(LENGTHS)]
+    elif command == "words":
+        argv = [command, "--m", value([*LENGTHS, HUGE_M]), "--parity", value(["odd", "even"])]
+        if draw(st.booleans()):
+            argv += ["-n", value(LENGTHS)]
+    elif command == "bounds":
+        argv = [command, "--k", value(LENGTHS), "--nmax", value(LENGTHS)]
+    else:
+        argv = [command, "--k", value(LENGTHS), "-n", value(LENGTHS)]
+    for flag, values in (
+        ("--format", ["plain", "json", "csv"]),
+        ("--jobs", [1, 2, 10**9]),
+        ("--budget", [-1, 0, 1000, 10**6, 10**9]),  # at most the default
+    ):
+        if draw(st.booleans()):
+            argv += [flag, value(values)]
+    return argv
+
+
+@settings(max_examples=50, deadline=None)
+@given(argv=cli_argv(), cache=st.sampled_from(["file", "dir"]))
+@example(argv=["encode", "1", "--k", "1000000"], cache="file")
+@example(argv=["decode", f"{10**20 - 1},", f"{10**20 - 1},", "--k", str(10**20)], cache="file")
+@example(argv=["count", "-q", LONG_PATTERN, "-n", "2"], cache="file")
+@example(argv=["bounds", "--k", str(10**20 + 1), "--nmax", "2"], cache="file")
+@example(argv=["words", "--m", str(HUGE_M), "--parity", "odd", "-n", "4"], cache="dir")
+def test_every_argv_ends_in_a_documented_exit_code(tmp_path_factory, argv, cache):
+    cwd = tmp_path_factory.mktemp("argv")
+    path = cwd / "c.jsonl" if cache == "file" else cwd
+    out = run_cli([*argv, "--cache", str(path)], cwd, timeout=10)
+    assert out.returncode in range(7)
+    assert "Traceback" not in out.stderr
 
 
 def _live_session_members(sid):

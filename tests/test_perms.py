@@ -30,6 +30,7 @@ from permcodec.perms import (
     symmetry_orbit,
     validate_permutation,
 )
+from permcodec.words import format_word
 
 
 def perms(max_n=9, min_n=0):
@@ -47,6 +48,7 @@ def test_doctests():
 @given(perms(max_n=14))
 def test_parse_format_roundtrip(p):
     assert parse_permutation(format_permutation(p)) == p
+    assert format_permutation(p) == format_word(p)
 
 
 def test_format_switches_to_commas_past_nine():
@@ -54,6 +56,7 @@ def test_format_switches_to_commas_past_nine():
     p = tuple(range(1, 11))
     assert format_permutation(p) == "1,2,3,4,5,6,7,8,9,10"
     assert parse_permutation("1,2,3,4,5,6,7,8,9,10") == p
+    assert parse_permutation("1,2,3,") == (1, 2, 3)
 
 
 def test_parse_empty_is_empty():

@@ -62,6 +62,18 @@ def test_validate_word():
     assert not validate_word((4, 3, 2), odd3)
 
 
+@given(st.integers(2, 6), st.sampled_from(["odd", "even"]), st.data())
+def test_validate_word_matches_the_forbidden_factor_list(m, parity, data):
+    family = WordFamily(m, parity)
+    # letters from just below to just above both alphabets
+    word = data.draw(st.lists(st.integers(-1, 3 * m - 1), max_size=8).map(tuple))
+    forbidden = set(family.forbidden_factors)
+    want = all(x in family.alphabet for x in word) and not any(
+        pair in forbidden for pair in zip(word, word[1:])
+    )
+    assert validate_word(word, family) == want
+
+
 @given(st.lists(st.integers(0, 30), max_size=12).map(tuple))
 def test_word_text_roundtrip(word):
     assert parse_word(format_word(word)) == word
