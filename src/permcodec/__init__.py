@@ -1,12 +1,7 @@
 """Codecs, exact counting and verification tools for pattern-avoiding permutations."""
 
-from permcodec.codec import (
-    decode_avoider,
-    encode_avoider,
-    encode_extremal,
-    merge_pair,
-)
-from permcodec.coloring import ColoringParams, canonical_coloring, occurrence_start_mask
+from permcodec.codec import decode_avoider, encode_avoider
+from permcodec.coloring import canonical_coloring, occurrence_start_mask
 from permcodec.enumeration import (
     count_avoiders,
     enumerate_avoiders,
@@ -15,13 +10,9 @@ from permcodec.enumeration import (
 )
 from permcodec.perms import (
     avoids,
-    contains,
-    direct_sum,
     format_permutation,
     is_layered,
-    occurrences,
     parse_permutation,
-    skew_sum,
     staircase_pattern,
     symmetry_class,
 )
@@ -40,31 +31,24 @@ def kernel_backend() -> str:
 
 __all__ = [
     "CodePair",
-    "ColoringParams",
     "WordFamily",
     "avoids",
     "bound_table",
     "canonical_coloring",
     "closed_form",
-    "contains",
     "count_avoiders",
     "count_words",
     "decode_avoider",
-    "direct_sum",
     "encode_avoider",
-    "encode_extremal",
     "enumerate_avoiders",
     "format_permutation",
     "format_word",
     "is_layered",
     "kernel_backend",
-    "merge_pair",
     "occurrence_start_mask",
-    "occurrences",
     "parse_permutation",
     "parse_word",
     "scan_classes",
-    "skew_sum",
     "staircase_pattern",
     "symmetry_class",
     "validate_word",

@@ -102,10 +102,13 @@ def _digit_limit() -> int:
 
 def cmd_words(args: argparse.Namespace) -> int:
     family = WordFamily(args.m, args.parity)
-    if args.n is None:
-        _emit(family.describe())
-        return 0
     limit = _digit_limit()
+    if args.n is None:
+        try:
+            _emit(family.describe())
+        except ValueError as exc:  # the top letter is past the int-to-text limit
+            raise ScaleRefused(f"the top letter has over {limit} digits") from exc
+        return 0
     too_long = f"the count for n={args.n} has over {limit} digits"
     # the count is at least root1**n, root1 = (A + sqrt(A*A - 4B)) / 2, so this
     # refuses only what cannot print; integers only, since A may not fit a float

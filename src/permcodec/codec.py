@@ -32,11 +32,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from permcodec import kernels
-from permcodec.coloring import ColoringParams, canonical_coloring, occurrence_start_mask
+from permcodec.coloring import canonical_coloring, occurrence_start_mask
 from permcodec.errors import (
-    AlphabetOverlap,
     DomainError,
-    LengthMismatch,
     MalformedInput,
     NotInImage,
     PreconditionViolated,
@@ -54,12 +52,6 @@ from permcodec.perms import (
 )
 from permcodec.words import CodePair, Letters, WordFamily
 
-#: letter assignment per extremal variant: (forbidden pattern, marked, unmarked)
-_EXTREMAL_VARIANTS = {
-    RL_MAX: ((2, 1, 3), 1, 0),
-    LR_MIN: ((1, 3, 2), 1, 2),
-}
-
 
 def _require_avoids(p: Perm, q: Perm) -> None:
     witness = first_occurrence(p, q)
@@ -73,64 +65,6 @@ def _require_avoids(p: Perm, q: Perm) -> None:
 def _by_value(p: Perm, w: Letters) -> Letters:
     """Rearrange position-indexed letters into value order."""
     return tuple(w[i - 1] for i in inverse(p))
-
-
-def encode_extremal(p: Perm, variant: str) -> CodePair:
-    """Code a 213-avoider by its rl-maxima or a 132-avoider by its lr-minima.
-
-    >>> pair = encode_extremal((3, 5, 4, 1, 2), "rl-max")
-    >>> (pair.w, pair.wp)
-    ((0, 1, 1, 0, 1), (0, 1, 0, 1, 1))
-    """
-    if variant not in _EXTREMAL_VARIANTS:
-        raise DomainError(f"unknown extremal variant: {variant!r}")
-    forbidden, marked, unmarked = _EXTREMAL_VARIANTS[variant]
-    _require_avoids(p, forbidden)
-    mask = extremal_mask(p, variant)
-    w = tuple(marked if hit else unmarked for hit in mask)
-    return CodePair(w, _by_value(p, w))
-
-
-def merge_pair(mask, p: Perm, pair_a: CodePair, pair_b: CodePair) -> CodePair:
-    """Interleave two codes along a mask (True entries take pair_a).
-
-    The position word takes pair_a's r-th letter at the r-th True position;
-    the value word takes pair_a's value letters at the masked values, in value
-    order. The two pairs may not share letters.
-    """
-    if pair_a.letters & pair_b.letters:
-        raise AlphabetOverlap(
-            f"merge inputs share letters {sorted(pair_a.letters & pair_b.letters)}"
-        )
-    n = len(p)
-    count_a = sum(1 for hit in mask if hit)
-    if len(mask) != n or len(pair_a) != count_a or len(pair_b) != n - count_a:
-        raise LengthMismatch(
-            f"mask/word sizes do not fit a length-{n} permutation: "
-            f"{count_a} marked, |a|={len(pair_a)}, |b|={len(pair_b)}"
-        )
-    w = []
-    next_a = next_b = 0
-    for hit in mask:
-        if hit:
-            w.append(pair_a.w[next_a])
-            next_a += 1
-        else:
-            w.append(pair_b.w[next_b])
-            next_b += 1
-    wp = [0] * n
-    values_a = sorted(v for v, hit in zip(p, mask) if hit)
-    values_b = sorted(v for v, hit in zip(p, mask) if not hit)
-    for t, v in enumerate(values_a):
-        wp[v - 1] = pair_a.wp[t]
-    for t, v in enumerate(values_b):
-        wp[v - 1] = pair_b.wp[t]
-    return CodePair(tuple(w), tuple(wp))
-
-
-#: even levels color against red_pattern = 1 (+) (1 (-) 1) = 132, the only
-#: part of the parameters canonical_coloring reads
-_EVEN_PARAMS = ColoringParams((1,), (1,), (1,))
 
 
 def _offset(level: int, k: int) -> int:
@@ -167,7 +101,7 @@ def _encode(p: Perm, k: int) -> CodePair:
             for i in starts:
                 letters[i] = offset
         else:
-            red, rest = split_by_mask(rest, canonical_coloring(values, _EVEN_PARAMS))
+            red, rest = split_by_mask(rest, canonical_coloring(values))
             for i, is_min in zip(red, extremal_mask([p[i] for i in red], LR_MIN)):
                 letters[i] = offset + 1 if is_min else offset + 2
     w = tuple(letters)
@@ -188,27 +122,6 @@ def encode_avoider(p: Perm, k: int) -> CodePair:
     if k <= len(p):  # a longer pattern never occurs
         _require_avoids(p, staircase_pattern(k))
     return _encode(p, k)
-
-
-def encode_length4_direct(p: Perm) -> CodePair:
-    """Single-pass form of the k=4 encoder, kept as an independent cross-check.
-
-    Letters: red left-to-right minimum 1, other red 2, blue non-maximum 3,
-    blue right-to-left maximum of the blue subsequence 4.
-    """
-    _require_avoids(p, staircase_pattern(4))
-    mask = canonical_coloring(p, _EVEN_PARAMS)
-    red, blue = split_by_mask(p, mask)
-    red_min = dict(zip(red, extremal_mask(red, LR_MIN)))
-    blue_max = dict(zip(blue, extremal_mask(blue, RL_MAX)))
-    letters = {}
-    for v, is_red in zip(p, mask):
-        if is_red:
-            letters[v] = 1 if red_min[v] else 2
-        else:
-            letters[v] = 4 if blue_max[v] else 3
-    w = tuple(letters[v] for v in p)
-    return CodePair(w, _by_value(p, w))
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +206,10 @@ def decode_avoider(pair: CodePair, k: int) -> Perm:
     """
     if k < 3:
         raise DomainError(f"pattern length must be at least 3, got {k}")
-    family = WordFamily.for_pattern_length(k)
-    alphabet = family.alphabet
+    alphabet = WordFamily.for_pattern_length(k).alphabet
     for word in (pair.w, pair.wp):
         if any(x not in alphabet for x in word):
-            raise MalformedInput(
-                f"letters outside the {family.describe()} alphabet: {word}"
-            )
+            raise MalformedInput(f"letters outside the alphabet for k={k}: {word}")
     if sorted(pair.w) != sorted(pair.wp):
         raise NotInImage("the two words must share one letter multiset")
     p = _decode(pair, k)

@@ -1,61 +1,30 @@
 """Deterministic entry colorings that split a permutation into two avoiders.
 
 ``canonical_coloring`` walks the permutation once, left to right, and colors
-every entry red or blue. The parameters name three nonempty patterns
-(head, shared, tail); the walk only consults
-
-    red_pattern = head (+) (shared (-) 1)
-
-where (+) is direct_sum and (-) is skew_sum, and it maintains two promises:
+every entry red or blue. It maintains two promises:
 
   1. an entry is colored blue if coloring it red would complete a red copy
-     of red_pattern (so the red subsequence avoids red_pattern by
-     construction), and
+     of 132 (so the red subsequence avoids 132 by construction), and
   2. an entry larger than some earlier blue entry is colored blue (so a blue
      entry is never immediately followed by a larger red one).
 
-Everything else is red. When the whole permutation avoids
-head (+) (shared (-) 1) (+) tail, the blue subsequence additionally avoids
-blue_pattern = (shared (-) 1) (+) tail; tests check that exhaustively.
+Everything else is red. When the whole permutation avoids the staircase of
+an even length k, which is 132 followed by a tail above it (1324, 132546,
+...), the blue subsequence avoids the (k-1)-staircase; tests check that
+exhaustively for k = 4 and 6.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from permcodec import kernels
-from permcodec.errors import DomainError
-from permcodec.perms import Perm, direct_sum, skew_sum
+from permcodec.perms import Perm
+
+#: the pattern the red entries avoid
+RED_PATTERN: Perm = (1, 3, 2)
 
 
-@dataclass(frozen=True)
-class ColoringParams:
-    head: Perm
-    shared: Perm
-    tail: Perm
-
-    def __post_init__(self):
-        for name, part in (("head", self.head), ("shared", self.shared), ("tail", self.tail)):
-            if len(part) == 0:
-                raise DomainError(f"coloring parameter {name!r} must be nonempty")
-
-    @property
-    def red_pattern(self) -> Perm:
-        return direct_sum(self.head, skew_sum(self.shared, (1,)))
-
-    @property
-    def blue_pattern(self) -> Perm:
-        return direct_sum(skew_sum(self.shared, (1,)), self.tail)
-
-    @property
-    def split_pattern(self) -> Perm:
-        """The pattern whose avoidance the red/blue split decomposes."""
-        return direct_sum(self.red_pattern, self.tail)
-
-
-def canonical_coloring(p: Perm, params: ColoringParams) -> tuple[bool, ...]:
+def canonical_coloring(p: Perm) -> tuple[bool, ...]:
     """Red/blue mask for p (True = red). Defined for every p; see module docs."""
-    forbidden = params.red_pattern
     mask: list[bool] = []
     red: list[int] = []
     min_blue: int | None = None
@@ -64,7 +33,7 @@ def canonical_coloring(p: Perm, params: ColoringParams) -> tuple[bool, ...]:
             blue = True
         else:
             red.append(v)
-            blue = kernels.has_occurrence_ending_at_last(red, forbidden)
+            blue = kernels.has_occurrence_ending_at_last(red, RED_PATTERN)
             red.pop()
         if blue:
             mask.append(False)

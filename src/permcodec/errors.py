@@ -26,10 +26,6 @@ class NotInImage(PermcodecError):
     """The word pair is not the code of any avoiding permutation."""
 
 
-class AlphabetOverlap(PermcodecError):
-    """The two pairs being merged share letters."""
-
-
 class LengthMismatch(PermcodecError):
     """Word lengths do not fit the object being coded."""
 

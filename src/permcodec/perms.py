@@ -11,7 +11,7 @@ i_1 < ... < i_k when (p[i_1], ..., p[i_k]) is order-isomorphic to q.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from permcodec import kernels
 from permcodec.errors import DomainError, MalformedInput
@@ -78,63 +78,6 @@ def complement(p: Perm) -> Perm:
     return tuple(n + 1 - v for v in p)
 
 
-def standardize(values: Sequence[int]) -> Perm:
-    """The pattern of a sequence of distinct integers (ranks, 1-based).
-
-    >>> standardize((8, 7, 9, 4, 3, 5))
-    (5, 4, 6, 2, 1, 3)
-    """
-    rank = {v: r for r, v in enumerate(sorted(values), start=1)}
-    return tuple(rank[v] for v in values)
-
-
-def occurrences(p: Perm, q: Perm, limit: int | None = None) -> list[tuple[int, ...]]:
-    """Witnesses of q in p as 1-based index tuples, lexicographic order.
-
-    At most ``limit`` witnesses are returned when limit is given.
-
-    >>> occurrences((2, 5, 3, 7, 1, 6, 4), (1, 3, 2), limit=1)
-    [(1, 2, 3)]
-    """
-    out = []
-    for witness in _iter_occurrences(p, q):
-        out.append(tuple(i + 1 for i in witness))
-        if limit is not None and len(out) >= limit:
-            break
-    return out
-
-
-def _iter_occurrences(p: Perm, q: Perm) -> Iterator[tuple[int, ...]]:
-    # Same value-window pruning as the kernels, but yielding every witness.
-    n, k = len(p), len(q)
-    if k == 0:
-        yield ()
-        return
-    if k > n:
-        return
-    from permcodec._pure import _bounds
-
-    lo, hi = _bounds(q, range(k))
-    chosen = [0] * k
-    pos = [0] * k
-
-    def extend(a: int, start: int) -> Iterator[tuple[int, ...]]:
-        for i in range(start, n - (k - 1 - a)):
-            v = p[i]
-            if lo[a] >= 0 and chosen[lo[a]] >= v:
-                continue
-            if hi[a] >= 0 and chosen[hi[a]] <= v:
-                continue
-            chosen[a] = v
-            pos[a] = i
-            if a == k - 1:
-                yield tuple(pos)
-            else:
-                yield from extend(a + 1, i + 1)
-
-    yield from extend(0, 0)
-
-
 def first_occurrence(p: Perm, q: Perm) -> tuple[int, ...] | None:
     """First witness of q in p (1-based), or None when p avoids q."""
     hit = kernels.first_occurrence(p, q)
@@ -152,30 +95,6 @@ def avoids(p: Perm, q: Perm) -> bool:
     True
     """
     return kernels.first_occurrence(p, q) is None
-
-
-def contains(p: Perm, q: Perm) -> bool:
-    return not avoids(p, q)
-
-
-def direct_sum(q: Perm, t: Perm) -> Perm:
-    """q followed by t shifted above it.
-
-    >>> format_permutation(direct_sum((3, 1, 4, 2), (1, 3, 2)))
-    '3142576'
-    """
-    shift = len(q)
-    return q + tuple(v + shift for v in t)
-
-
-def skew_sum(q: Perm, t: Perm) -> Perm:
-    """q shifted above t, followed by t.
-
-    >>> format_permutation(skew_sum((3, 1, 4, 2), (1, 3, 2)))
-    '6475132'
-    """
-    shift = len(t)
-    return tuple(v + shift for v in q) + t
 
 
 def staircase_pattern(k: int) -> Perm:
@@ -196,7 +115,7 @@ def staircase_pattern(k: int) -> Perm:
     even.append(2 * m)
     if k % 2 == 0:
         return tuple(even)
-    return standardize(even[1:])
+    return tuple(v - 1 for v in even[1:])  # even[1:] holds 2..2m
 
 
 def extremal_mask(p: Perm, kind: str) -> tuple[bool, ...]:

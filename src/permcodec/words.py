@@ -124,10 +124,6 @@ class CodePair:
     def __len__(self) -> int:
         return len(self.w)
 
-    @property
-    def letters(self) -> frozenset[int]:
-        return frozenset(self.w) | frozenset(self.wp)
-
     def to_json(self) -> str:
         return json.dumps(
             {"w": format_word(self.w), "wp": format_word(self.wp)},

@@ -67,3 +67,52 @@ def transfer_count_words(alphabet, forbidden, n):
             for b in alphabet
         }
     return sum(state.values())
+
+
+def merge_pair(mask, p, pair_a, pair_b):
+    """Interleave two codes along a mask: marked entries take pair_a's letters.
+
+    The r-th marked position takes pair_a.w[r] and the r-th smallest marked
+    value takes pair_a.wp[r]; the unmarked entries read pair_b the same way.
+    The result has pair_a's type, built from (w, wp).
+    """
+    position_letters = {True: iter(pair_a.w), False: iter(pair_b.w)}
+    w = tuple(next(position_letters[bool(hit)]) for hit in mask)
+    marked = {v for v, hit in zip(p, mask) if hit}
+    value_letters = {True: iter(pair_a.wp), False: iter(pair_b.wp)}
+    wp = tuple(next(value_letters[v in marked]) for v in range(1, len(p) + 1))
+    return type(pair_a)(w, wp)
+
+
+def coloring_132(p):
+    """The red/blue mask (True = red), straight from the two coloring rules.
+
+    An entry is blue when it is larger than an earlier blue entry, or when
+    coloring it red would complete a red 132; otherwise it is red.
+    """
+    mask = []
+    for i, v in enumerate(p):
+        blue = any(p[j] < v for j in range(i) if not mask[j])
+        reds = tuple(p[j] for j in range(i) if mask[j])
+        mask.append(not (blue or brute_contains(reds + (v,), (1, 3, 2))))
+    return tuple(mask)
+
+
+def encode_length4(p):
+    """The code (w, wp) of a 1324-avoider in one pass over its coloring.
+
+    Letters: a red left-to-right minimum of the reds 1, another red 2, a
+    blue right-to-left maximum of the blues 4, another blue 3; w reads them
+    by position and wp by value.
+    """
+    mask = coloring_132(p)
+    red = [v for v, hit in zip(p, mask) if hit]
+    blue = [v for v, hit in zip(p, mask) if not hit]
+    letter = {}
+    for i, v in enumerate(red):
+        letter[v] = 1 if all(u > v for u in red[:i]) else 2
+    for i, v in enumerate(blue):
+        letter[v] = 4 if all(u < v for u in blue[i + 1:]) else 3
+    w = tuple(letter[v] for v in p)
+    wp = tuple(letter[v] for v in range(1, len(p) + 1))
+    return w, wp

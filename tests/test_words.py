@@ -100,7 +100,6 @@ def test_parse_word_rejects(text):
 def test_code_pair():
     pair = CodePair((1, 2), (2, 1))
     assert len(pair) == 2
-    assert pair.letters == frozenset({1, 2})
     with pytest.raises(LengthMismatch):
         CodePair((1,), (1, 2))
 
