@@ -1,7 +1,7 @@
 """Codecs, exact counting and verification tools for pattern-avoiding permutations."""
 
 from permcodec.codec import decode_avoider, encode_avoider
-from permcodec.coloring import canonical_coloring, occurrence_start_mask
+from permcodec.coloring import canonical_coloring
 from permcodec.enumeration import (
     count_avoiders,
     enumerate_avoiders,
@@ -45,7 +45,6 @@ __all__ = [
     "format_word",
     "is_layered",
     "kernel_backend",
-    "occurrence_start_mask",
     "parse_permutation",
     "parse_word",
     "scan_classes",

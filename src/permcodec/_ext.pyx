@@ -166,39 +166,6 @@ def has_occurrence_ending_at_last(p, q):
         free(buf)
 
 
-def has_occurrence_starting_at(p, q, int i):
-    """True iff q occurs in p with the occurrence starting at index i."""
-    cdef int n = len(p)
-    cdef int k = len(q)
-    if k == 0 or k > n - i:
-        return False
-    if k == 1:
-        return True
-    cdef int* buf = _alloc(n + 6 * k)
-    cdef int* pa = buf
-    cdef int* qa = buf + n
-    cdef int* order = qa + k
-    cdef int* lo = order + k
-    cdef int* hi = lo + k
-    cdef int* chosen = hi + k
-    cdef int* pos = chosen + k
-    cdef int t
-    cdef bint found
-    try:
-        for t in range(n):
-            pa[t] = p[t]
-        for t in range(k):
-            qa[t] = q[t]
-            order[t] = t
-        _c_bounds(qa, k, order, lo, hi)
-        chosen[0] = pa[i]
-        with nogil:
-            found = _c_search(pa, lo, hi, chosen, pos, 1, k - 1, i + 1, n)
-        return found
-    finally:
-        free(buf)
-
-
 def count_avoiders_dfs(q, int n, int first=0):
     """Count permutations of 1..n avoiding q, optionally with a fixed first entry."""
     cdef int k = len(q)

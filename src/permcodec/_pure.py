@@ -100,20 +100,6 @@ def has_occurrence_ending_at_last(p: Sequence[int], q: Sequence[int]) -> bool:
     return _search(p, lo, hi, chosen, pos, 0, k - 2, 0, n - 1)
 
 
-def has_occurrence_starting_at(p: Sequence[int], q: Sequence[int], i: int) -> bool:
-    """True iff q occurs in p with the occurrence starting at index i."""
-    n, k = len(p), len(q)
-    if k == 0 or k > n - i:
-        return False
-    if k == 1:
-        return True
-    lo, hi = _bounds(q, range(k))
-    chosen = [0] * k
-    chosen[0] = p[i]
-    pos = [0] * k
-    return _search(p, lo, hi, chosen, pos, 1, k - 1, i + 1, n)
-
-
 def count_avoiders_dfs(q: Sequence[int], n: int, first: int = 0) -> int:
     """Count permutations of 1..n avoiding q, optionally with a fixed first entry.
 

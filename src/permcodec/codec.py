@@ -8,8 +8,8 @@ by the level above, on their original values (only relative order counts):
   k even      canonical red/blue coloring; red entries (a 132-avoider by
               construction) get offset+1 on their left-to-right minima and
               offset+2 elsewhere; then offset (at first 0) grows by 3.
-  k odd >= 5  entries that start an occurrence of the (k-1)-staircase get
-              letter offset.
+  k odd >= 5  entries below the (k-2)-staircase floor of the entries after
+              them (perms.StaircaseFloor) get letter offset.
   k = 3       right-to-left maxima get offset+1, the rest offset.
 
 Decoding is one greedy pass over the same levels, inside out (3, 4, ..., k),
@@ -18,10 +18,10 @@ reads its positions from w and its values from wp, and no sub-code is
 reassembled. At the base level and at each even level, the marked extrema
 take their values in decreasing order, and the other slots take the largest
 (resp. smallest) value that keeps the marking. At an odd level, right to
-left, each offset-lettered slot takes the largest value that still starts
-an occurrence of the (level-1)-staircase ahead of the filled entries to its
-right. The greedy result is trusted only when re-encoding reproduces the
-input pair exactly; otherwise the pair is not in the image.
+left, each offset-lettered slot takes the largest remaining value below the
+(level-2)-staircase floor of the filled entries to its right. The greedy
+result is trusted only when re-encoding reproduces the input pair exactly;
+otherwise the pair is not in the image.
 
 On valid input both words lie in the word family for k and share one letter
 multiset; the encoding is injective (verified exhaustively in tests).
@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from permcodec import kernels
-from permcodec.coloring import canonical_coloring, occurrence_start_mask
+from permcodec.coloring import canonical_coloring
 from permcodec.errors import (
     DomainError,
     MalformedInput,
@@ -43,6 +42,7 @@ from permcodec.perms import (
     LR_MIN,
     RL_MAX,
     Perm,
+    StaircaseFloor,
     extremal_mask,
     first_occurrence,
     format_permutation,
@@ -54,8 +54,12 @@ from permcodec.words import CodePair, Letters, WordFamily
 
 
 def _require_avoids(p: Perm, q: Perm) -> None:
-    witness = first_occurrence(p, q)
-    if witness is not None:
+    """The floor decides containment; the search only names the first witness."""
+    floor = StaircaseFloor(len(q))
+    for v in reversed(p):
+        floor.push(v)
+    if floor.value:
+        witness = first_occurrence(p, q)
         spot = ",".join(str(i) for i in witness)
         raise PreconditionViolated(
             f"contains {format_permutation(q)} at ({spot})", pattern=q, witness=witness
@@ -96,8 +100,12 @@ def _encode(p: Perm, k: int) -> CodePair:
         elif level % 2:
             if level - 1 > len(rest):
                 continue  # no entry starts a marker longer than the rest
-            mask = occurrence_start_mask(values, staircase_pattern(level - 1))
-            starts, rest = split_by_mask(rest, mask)
+            floor = StaircaseFloor(level - 2)
+            mask = []
+            for v in reversed(values):
+                mask.append(v < floor.value)
+                floor.push(v)
+            starts, rest = split_by_mask(rest, mask[::-1])
             for i in starts:
                 letters[i] = offset
         else:
@@ -178,23 +186,19 @@ def _decode(pair: CodePair, k: int) -> Perm:
                     raise NotInImage("no unmarked value stays above the running minimum")
                 out[i] = rest.pop(at)
         else:
-            # right to left, each slot lettered offset takes the largest value
-            # that starts a (level-1)-staircase with the filled entries after it
+            # right to left, the largest free value below the floor of the slots after it
             slots = [i for i, x in enumerate(w) if x >= offset]
             if level - 1 > len(slots):
                 raise NotInImage("too few entries to start the required pattern")
-            marker = staircase_pattern(level - 1)
+            floor = StaircaseFloor(level - 2)
             inserted = [v for v, x in enumerate(wp, 1) if x == offset]
-            for at in range(len(slots) - 1, -1, -1):
-                if w[slots[at]] != offset:
-                    continue
-                suffix = tuple(out[j] for j in slots[at + 1:])
-                for r in range(len(inserted) - 1, -1, -1):
-                    if kernels.has_occurrence_starting_at((inserted[r], *suffix), marker, 0):
-                        out[slots[at]] = inserted.pop(r)
-                        break
-                else:
-                    raise NotInImage("no remaining value starts the required pattern here")
+            for i in reversed(slots):
+                if w[i] == offset:
+                    at = bisect_left(inserted, floor.value) - 1
+                    if at < 0:
+                        raise NotInImage("no remaining value starts the required pattern here")
+                    out[i] = inserted.pop(at)
+                floor.push(out[i])
     return tuple(out)
 
 

@@ -17,5 +17,4 @@ else:
 BACKEND = _impl.BACKEND
 first_occurrence = _impl.first_occurrence
 has_occurrence_ending_at_last = _impl.has_occurrence_ending_at_last
-has_occurrence_starting_at = _impl.has_occurrence_starting_at
 count_avoiders_dfs = _impl.count_avoiders_dfs

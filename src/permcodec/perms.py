@@ -11,6 +11,7 @@ i_1 < ... < i_k when (p[i_1], ..., p[i_k]) is order-isomorphic to q.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from permcodec import kernels
@@ -118,6 +119,58 @@ def staircase_pattern(k: int) -> Perm:
     return tuple(v - 1 for v in even[1:])  # even[1:] holds 2..2m
 
 
+class StaircaseFloor:
+    """The floor of the length-k staircase over entries pushed right to left.
+
+    ``value`` is the largest least entry of any occurrence of
+    ``staircase_pattern(k)`` among the pushed entries, or 0 when there is
+    none. Entries are distinct positive integers.
+
+    The staircase is layered (1324 = 1+21+1, 21435 = 21+21+1): each layer is
+    a descending run left of and below the next. A new entry x opens layer j
+    when it lies below the floor of layers j+1.. after it; a pair layer also
+    needs some b < x after x with x below the floor of the layers after b.
+    Floors only grow, so the scan over those b stops at a floor at or below x.
+
+    >>> floor = StaircaseFloor(3)
+    >>> for v in reversed((5, 2, 1, 4, 3, 6, 7)):
+    ...     floor.push(v)
+    >>> floor.value  # from the occurrence 5,4,6
+    4
+    """
+
+    def __init__(self, k: int) -> None:
+        if k < 3:
+            raise DomainError(f"staircase patterns start at length 3, got {k}")
+        layers = k // 2 + 1
+        first_pair = 1 - k % 2  # an even k opens with a singleton layer
+        self._floors = [0] * layers + [math.inf]  # any entry may open the top layer
+        # per pair layer, (b, floor of the layers after b); None for a singleton
+        self._tails = [[] if first_pair <= j < layers - 1 else None for j in range(layers)]
+
+    @property
+    def value(self) -> int:
+        return self._floors[0]
+
+    def push(self, x: int) -> None:
+        """Add x to the left of every entry pushed so far."""
+        floors = self._floors
+        for j, tails in enumerate(self._tails):
+            fits = x < floors[j + 1]  # x may open layer j
+            if tails is not None:
+                best = floors[j]
+                for b, above in reversed(tails):
+                    if above <= x:
+                        break
+                    if best < b < x:
+                        best = b
+                floors[j] = best
+                if fits:
+                    tails.append((x, floors[j + 1]))
+            elif fits and x > floors[j]:
+                floors[j] = x
+
+
 def extremal_mask(p: Perm, kind: str) -> tuple[bool, ...]:
     """Mark right-to-left maxima or left-to-right minima.
 
@@ -144,8 +197,10 @@ def extremal_mask(p: Perm, kind: str) -> tuple[bool, ...]:
 
 def split_by_mask(p: Sequence[int], mask: Sequence[bool]) -> tuple[Perm, Perm]:
     """Subsequences of marked and unmarked entries, in position order."""
-    marked = tuple(v for v, m in zip(p, mask) if m)
-    unmarked = tuple(v for v, m in zip(p, mask) if not m)
+    # lists first: tuple() resizes a generator's guessed length, which moves tuples
+    # between CPython's per-size free lists and grows a long codec loop by megabytes
+    marked = tuple([v for v, m in zip(p, mask) if m])
+    unmarked = tuple([v for v, m in zip(p, mask) if not m])
     return marked, unmarked
 
 

@@ -237,6 +237,10 @@ TOP_DIGITS_M = 9 * 10**4299
         # the same code as at k=1000 and k=1001: the top levels letter nothing
         pytest.param(["encode", "3612745", "--k", str(10**20 + 1)], 0,
                      '{"w":"1212245","wp":"1214522"}\n', id="encode-k1e20"),
+        # the avoidance check on a long input reads one staircase floor
+        pytest.param(["encode", ",".join(str(v) for v in range(1, 2001)), "--k", "4"], 0,
+                     '{"w":"1' + "2" * 1999 + '","wp":"1' + "2" * 1999 + '"}\n',
+                     id="encode-identity-2000"),
         pytest.param(["decode", "0", "0", "--k", "1000001"], 4, "NOT-IN-IMAGE\n",
                      id="decode-k1e6"),
         pytest.param(["decode", f"{10**20 - 1},", f"{10**20 - 1},", "--k", str(10**20)], 4,

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from permcodec.coloring import canonical_coloring, occurrence_start_mask
+from permcodec.coloring import canonical_coloring
 from permcodec.enumeration import enumerate_avoiders
-from permcodec.perms import avoids, split_by_mask, staircase_pattern
+from permcodec.perms import StaircaseFloor, avoids, split_by_mask, staircase_pattern
 
 RED = (1, 3, 2)
 
@@ -59,15 +59,25 @@ def test_coloring_rules_on_arbitrary_permutations(p):
             assert not mask[i]
 
 
-def test_occurrence_start_mask_matches_brute_force():
-    p = (6, 8, 7, 9, 1, 2, 4, 3, 5)
-    q = (1, 3, 2)
-    starts = {spots[0] for spots in oracles.brute_occurrences(p, q)}
-    assert occurrence_start_mask(p, q) == tuple(
-        i + 1 in starts for i in range(len(p))
-    )
+def start_mask(p, k):
+    """Entries that start the even k-staircase: those below the (k-1) floor after them."""
+    floor = StaircaseFloor(k - 1)
+    mask = []
+    for v in reversed(p):
+        mask.append(v < floor.value)
+        floor.push(v)
+    return tuple(reversed(mask))
 
 
-def test_occurrence_start_mask_worked_example():
-    mask = occurrence_start_mask((6, 8, 7, 9, 1, 2, 4, 3, 5), staircase_pattern(4))
+@given(
+    st.integers(0, 9).flatmap(lambda n: st.permutations(tuple(range(1, n + 1)))).map(tuple),
+    st.sampled_from([4, 6, 8]),
+)
+def test_start_rule_matches_brute_force(p, k):
+    starts = {spots[0] for spots in oracles.brute_occurrences(p, staircase_pattern(k))}
+    assert start_mask(p, k) == tuple(i + 1 in starts for i in range(len(p)))
+
+
+def test_start_rule_worked_example():
+    mask = start_mask((6, 8, 7, 9, 1, 2, 4, 3, 5), 4)
     assert mask == (True, False, False, False, True, True, False, False, False)

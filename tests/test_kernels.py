@@ -63,14 +63,6 @@ def test_ending_at_last_matches_brute_force(impl, p, q):
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=backend_id)
-@given(p=perms(min_n=1), q=perms(max_n=4, min_n=1), data=st.data())
-def test_starting_at_matches_brute_force(impl, p, q, data):
-    i = data.draw(st.integers(0, len(p) - 1))
-    want = any(spots[0] == i + 1 for spots in oracles.brute_occurrences(p, q))
-    assert impl.has_occurrence_starting_at(p, q, i) == want
-
-
-@pytest.mark.parametrize("impl", BACKENDS, ids=backend_id)
 def test_count_matches_brute_force(impl):
     for k in range(2, 5):
         for q in permutations(range(1, k + 1)):
@@ -103,8 +95,6 @@ def test_first_entry_shards_partition_the_count(impl):
 def test_backends_agree(p, q):
     assert _pure.first_occurrence(p, q) == _ext.first_occurrence(p, q)
     assert _pure.has_occurrence_ending_at_last(p, q) == _ext.has_occurrence_ending_at_last(p, q)
-    for i in range(len(p)):
-        assert _pure.has_occurrence_starting_at(p, q, i) == _ext.has_occurrence_starting_at(p, q, i)
 
 
 @pytest.mark.skipif(_ext is None, reason="extension not built")

@@ -10,6 +10,7 @@ from permcodec.errors import DomainError, MalformedInput
 from permcodec.perms import (
     LR_MIN,
     RL_MAX,
+    StaircaseFloor,
     avoids,
     complement,
     extremal_mask,
@@ -99,6 +100,23 @@ def test_staircase_patterns_frozen():
     assert staircase_pattern(8) == (1, 3, 2, 5, 4, 7, 6, 8)
     with pytest.raises(DomainError):
         staircase_pattern(2)
+
+
+@given(
+    st.integers(3, 8),
+    st.lists(st.integers(1, 200), max_size=10, unique=True),
+)
+def test_staircase_floor_is_the_largest_least_entry_of_an_occurrence(k, p):
+    """After each push the floor matches brute force on the entries pushed so far."""
+    floor = StaircaseFloor(k)
+    for start in range(len(p) - 1, -1, -1):
+        floor.push(p[start])
+        suffix = p[start:]
+        mins = [
+            min(suffix[i - 1] for i in spots)
+            for spots in oracles.brute_occurrences(suffix, staircase_pattern(k))
+        ]
+        assert floor.value == max(mins, default=0)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
