@@ -1,9 +1,12 @@
 # cython: language_level=3, boundscheck=False, wraparound=False
 """Compiled pattern-search kernels.
 
-Twin of ``permcodec._pure`` with identical semantics; see that module for the
-algorithm notes. Haystack and pattern are copied into C integer arrays once
-per call and the window-pruned search runs without the GIL.
+Compiled ``first_occurrence`` and ``count_avoiders_dfs``, with the same
+semantics as those in ``permcodec._pure``; see that module for the algorithm
+notes. The avoider walk that yields every avoider has no compiled form: both
+backends use ``permcodec._pure.avoiders``. Haystack and pattern are copied
+into C integer arrays once per call and the window-pruned search runs without
+the GIL.
 """
 
 from libc.stdlib cimport free, malloc
@@ -127,41 +130,6 @@ def first_occurrence(p, q):
         if not found:
             return None
         return tuple(pos[i] for i in range(k))
-    finally:
-        free(buf)
-
-
-def has_occurrence_ending_at_last(p, q):
-    """True iff q occurs in p with the occurrence ending at p's last entry."""
-    cdef int n = len(p)
-    cdef int k = len(q)
-    if k == 0 or k > n:
-        return False
-    if k == 1:
-        return True
-    cdef int* buf = _alloc(n + 6 * k)
-    cdef int* pa = buf
-    cdef int* qa = buf + n
-    cdef int* order = qa + k
-    cdef int* lo = order + k
-    cdef int* hi = lo + k
-    cdef int* chosen = hi + k
-    cdef int* pos = chosen + k
-    cdef int i
-    cdef bint found
-    try:
-        for i in range(n):
-            pa[i] = p[i]
-        for i in range(k):
-            qa[i] = q[i]
-        order[0] = k - 1
-        for i in range(k - 1):
-            order[i + 1] = i
-        _c_bounds(qa, k, order, lo, hi)
-        chosen[k - 1] = pa[n - 1]
-        with nogil:
-            found = _c_search(pa, lo, hi, chosen, pos, 0, k - 2, 0, n - 1)
-        return found
     finally:
         free(buf)
 

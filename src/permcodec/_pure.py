@@ -1,9 +1,11 @@
 """Pure-Python pattern-search kernels.
 
-Reference implementation of the hot search routines; ``permcodec._ext`` is the
-compiled twin with identical semantics. Haystacks may be any sequences of
-distinct integers; patterns are permutations of 1..k. All indices are 0-based
-at this layer (the public API converts).
+Reference implementation of the hot search routines. ``permcodec._ext``
+compiles ``first_occurrence`` and ``count_avoiders_dfs`` with the same
+semantics; ``avoiders``, the walk that yields every avoider, exists only here
+and serves both backends. Haystacks may be any sequences of distinct integers;
+patterns are permutations of 1..k. All indices are 0-based at this layer (the
+public API converts).
 
 The searches assign pattern slots one at a time and prune by value windows:
 once some slots are fixed, the value for the next slot must lie strictly
@@ -15,7 +17,7 @@ each side of the window.
 from __future__ import annotations
 
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 BACKEND = "pure"
 
@@ -86,62 +88,52 @@ def first_occurrence(p: Sequence[int], q: Sequence[int]):
     return None
 
 
-def has_occurrence_ending_at_last(p: Sequence[int], q: Sequence[int]) -> bool:
-    """True iff q occurs in p with the occurrence ending at p's last entry."""
-    n, k = len(p), len(q)
-    if k == 0 or k > n:
-        return False
-    if k == 1:
-        return True
-    lo, hi = _bounds(q, [k - 1, *range(k - 1)])
-    chosen = [0] * k
-    chosen[k - 1] = p[n - 1]
-    pos = [0] * k
-    return _search(p, lo, hi, chosen, pos, 0, k - 2, 0, n - 1)
+def avoiders(q: Sequence[int], n: int, first: int = 0) -> Iterator[tuple[int, ...]]:
+    """Yield the permutations of 1..n avoiding q in lexicographic order.
 
+    ``first`` fixes the first entry (0: any); it is not checked. Prefix-extension
+    DFS: a prefix is extended only while it stays q-free, so each extension
+    needs one search, for an occurrence ending at the new entry, whose windows
+    are built once per walk.
 
-def count_avoiders_dfs(q: Sequence[int], n: int, first: int = 0) -> int:
-    """Count permutations of 1..n avoiding q, optionally with a fixed first entry.
-
-    Prefix-extension DFS: a prefix is extended only while it stays q-free, so
-    the check per extension is for new occurrences ending at the new entry.
+    >>> list(avoiders((2, 1, 3), 3))
+    [(1, 2, 3), (1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
     k = len(q)
     if k == 0:
-        return 0  # the empty pattern occurs in every permutation
+        return  # the empty pattern occurs in every permutation
     if n == 0:
-        return 1
+        yield ()
+        return
     if k == 1:
-        return 0
-    if k > n:  # q never occurs
-        return factorial(n - 1) if first else factorial(n)
+        return  # (1) occurs in every nonempty permutation
     lo, hi = _bounds(q, [k - 1, *range(k - 1)])
     chosen = [0] * k
     pos = [0] * k
     prefix: list[int] = []
     used = [False] * (n + 1)
 
-    def ends_with_occurrence() -> bool:
-        d = len(prefix)
-        if k > d:
-            return False
-        chosen[k - 1] = prefix[d - 1]
-        return _search(prefix, lo, hi, chosen, pos, 0, k - 2, 0, d - 1)
-
-    def walk(d: int) -> int:
-        if d == n:
-            return 1
-        total = 0
+    def walk(d: int) -> Iterator[tuple[int, ...]]:
         values = (first,) if (d == 0 and first) else range(1, n + 1)
         for v in values:
             if used[v]:
                 continue
             prefix.append(v)
-            if not ends_with_occurrence():
-                used[v] = True
-                total += walk(d + 1)
-                used[v] = False
+            chosen[k - 1] = v
+            if k > d + 1 or not _search(prefix, lo, hi, chosen, pos, 0, k - 2, 0, d):
+                if d + 1 == n:
+                    yield tuple(prefix)
+                else:
+                    used[v] = True
+                    yield from walk(d + 1)
+                    used[v] = False
             prefix.pop()
-        return total
 
-    return walk(0)
+    yield from walk(0)
+
+
+def count_avoiders_dfs(q: Sequence[int], n: int, first: int = 0) -> int:
+    """Count permutations of 1..n avoiding q, optionally with a fixed first entry."""
+    if 0 < n < len(q):  # q never occurs, so skip walking n! leaves
+        return factorial(n - 1) if first else factorial(n)
+    return sum(1 for _ in avoiders(q, n, first))

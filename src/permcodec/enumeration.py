@@ -3,9 +3,10 @@
 Enumeration is a prefix-extension DFS in lexicographic order: a prefix is
 extended value by value and abandoned as soon as it contains the pattern, so
 each extension only needs a check for occurrences ending at the new entry.
-The DFS itself lives in the search kernels; this module adds budget guards,
-sharding by first entry for parallel runs, the persistent count cache, and
-the two sweep reports.
+The DFS itself lives in the search kernels (``kernels.avoiders`` yields the
+avoiders, ``kernels.count_avoiders_dfs`` counts them); this module adds budget
+guards, sharding by first entry for parallel runs, the persistent count cache,
+and the two sweep reports.
 
 Every operation estimates its node count up front (the injective-prefix
 bound sum_j n!/(n-j)!, which ignores pruning on purpose) and raises
@@ -78,37 +79,16 @@ def enumerate_avoiders(
     first: int | None = None,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> Iterator[Perm]:
-    """Yield every length-n avoider of q exactly once, in lexicographic order."""
+    """Yield every length-n avoider of q exactly once, in lexicographic order.
+
+    ``first``, when given, must be an entry 1..n; only avoiders starting with
+    it are yielded.
+    """
     require_length(n)
+    if first is not None and not 1 <= first <= n:
+        raise DomainError(f"first entry must lie in 1..{n}, got first={first}")
     _ensure_budget(n, budget, f"enumerating avoiders at n={n}")
-    return _avoider_stream(tuple(q), n, first)
-
-
-def _avoider_stream(q: Perm, n: int, first: int | None) -> Iterator[Perm]:
-    if len(q) == 0:
-        return  # the empty pattern occurs in everything
-    if n == 0:
-        yield ()
-        return
-    prefix: list[int] = []
-    used = [False] * (n + 1)
-
-    def extend(depth: int) -> Iterator[Perm]:
-        if depth == n:
-            yield tuple(prefix)
-            return
-        values = (first,) if (depth == 0 and first is not None) else range(1, n + 1)
-        for v in values:
-            if used[v]:
-                continue
-            prefix.append(v)
-            if not kernels.has_occurrence_ending_at_last(prefix, q):
-                used[v] = True
-                yield from extend(depth + 1)
-                used[v] = False
-            prefix.pop()
-
-    yield from extend(0)
+    return kernels.avoiders(tuple(q), n, first or 0)
 
 
 def _count_shard(args: tuple[Perm, int, int]) -> int:
@@ -195,14 +175,14 @@ class VerificationReport:
         return {**record, "passed": self.passed, "examples": examples}
 
 
-def _verify_shard(args: tuple[int, int, int | None]) -> dict:
+def _verify_shard(args: tuple[int, int, int]) -> dict:
     k, n, first = args
     family = WordFamily.for_pattern_length(k)
     check_first = k % 2 == 0 and n >= 1
     counts = {"round_trip": 0, "image": 0, "first_letter": 0}
     examples: dict[str, list[str]] = {key: [] for key in counts}
     total = 0
-    for p in _avoider_stream(staircase_pattern(k), n, first):
+    for p in kernels.avoiders(staircase_pattern(k), n, first):
         total += 1
         pair = _encode(p, k)
         try:
@@ -243,7 +223,7 @@ def verify_injection(
     require_length(n)
     _ensure_budget(n, budget, f"verifying the encoder at n={n}")
     # one shard per first entry; n = 0 has one shard, the empty permutation
-    shard_args = [(k, n, first) for first in range(1, n + 1)] or [(k, n, None)]
+    shard_args = [(k, n, first) for first in range(1, n + 1)] or [(k, n, 0)]
     counts = {"round_trip": 0, "image": 0, "first_letter": 0, "duplicate": 0}
     examples: dict[str, list[str]] = {key: [] for key in counts}
     total = 0
@@ -254,7 +234,7 @@ def verify_injection(
             examples[key].extend(shard["examples"][key])
     if counts["round_trip"]:  # a decoder that inverts every code proves them distinct
         seen: dict[CodePair, str] = {}
-        for p in _avoider_stream(staircase_pattern(k), n, None):
+        for p in kernels.avoiders(staircase_pattern(k), n):
             text = format_permutation(p)
             first = seen.setdefault(_encode(p, k), text)
             if first != text:

@@ -1,20 +1,25 @@
 """Search-kernel selection: compiled extension when available, pure Python otherwise.
 
+The avoider walk yields Python tuples either way, so it is the pure one on
+both backends; only the occurrence search and the count DFS are compiled.
+
 Set PERMCODEC_PURE=1 to force the pure backend; the benchmark and the
 cross-checking tests use that to compare the two implementations.
 """
 
 import os
 
+from permcodec import _pure
+
 if os.environ.get("PERMCODEC_PURE"):
-    from permcodec import _pure as _impl
+    _impl = _pure
 else:
     try:
         from permcodec import _ext as _impl  # type: ignore[no-redef]
     except ImportError:
-        from permcodec import _pure as _impl  # type: ignore[no-redef]
+        _impl = _pure
 
 BACKEND = _impl.BACKEND
 first_occurrence = _impl.first_occurrence
-has_occurrence_ending_at_last = _impl.has_occurrence_ending_at_last
 count_avoiders_dfs = _impl.count_avoiders_dfs
+avoiders = _pure.avoiders

@@ -129,12 +129,3 @@ class CodePair:
             {"w": format_word(self.w), "wp": format_word(self.wp)},
             separators=(",", ":"),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CodePair":
-        try:
-            record = json.loads(text)
-            w, wp = record["w"], record["wp"]
-        except (ValueError, TypeError, KeyError) as exc:
-            raise MalformedInput(f"unreadable code pair: {text!r}") from exc
-        return cls(parse_word(w), parse_word(wp))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import permcodec._pure
 import permcodec.codec
 from permcodec.codec import decode_avoider, encode_avoider
 from permcodec.enumeration import enumerate_avoiders
@@ -18,6 +19,7 @@ def pair_of(w_text, wp_text):
 
 def test_doctests():
     assert doctest.testmod(permcodec.codec).failed == 0
+    assert doctest.testmod(permcodec._pure) == (0, 1)
 
 
 def test_worked_example_k3():

@@ -54,6 +54,14 @@ def test_enumeration_edge_cases():
     assert list(enumerate_avoiders((2, 1, 3), 0)) == [()]
     with pytest.raises(ScaleRefused):
         list(enumerate_avoiders((2, 1, 3), 50, budget=10**6))
+    for first in (0, -1, 5, 7):
+        with pytest.raises(DomainError):
+            enumerate_avoiders((1, 3, 2, 4), 4, first=first)
+    with pytest.raises(DomainError):
+        enumerate_avoiders((2, 1, 3), 0, first=1)
+    assert list(enumerate_avoiders((1, 3, 2, 4), 4, first=4)) == [
+        p for p in oracles.brute_avoiders((1, 3, 2, 4), 4) if p[0] == 4
+    ]
 
 
 def test_first_entry_shards_partition_the_avoiders():

@@ -108,12 +108,4 @@ def test_code_pair_json_wire_format():
     pair = CodePair((1, 2, 1, 2, 2, 3, 4), (1, 2, 1, 3, 4, 2, 2))
     text = pair.to_json()
     assert text == '{"w":"1212234","wp":"1213422"}'
-    assert CodePair.from_json(text) == pair
     assert json.loads(text) == {"w": "1212234", "wp": "1213422"}
-
-
-def test_code_pair_json_rejects_garbage():
-    with pytest.raises(MalformedInput):
-        CodePair.from_json("{")
-    with pytest.raises(MalformedInput):
-        CodePair.from_json('{"w":"1"}')
