@@ -1,23 +1,10 @@
-"""Build shim: compiles the search-kernel extension when Cython is available.
+"""Build shim: compiles the count-DFS extension ``permcodec._ext`` from C.
 
-The package works without the extension (permcodec.kernels falls back to the
-pure-Python twin), so a missing compiler or PERMCODEC_NO_EXT=1 simply skips it.
+The package works without it (``permcodec.kernels`` falls back to the
+pure-Python walk), so the extension is optional: where no C compiler or
+``Python.h`` is found, the build warns and goes on without it.
 """
-
-import os
 
 from setuptools import Extension, setup
 
-ext_modules = []
-if not os.environ.get("PERMCODEC_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        pass
-    else:
-        ext_modules = cythonize(
-            [Extension("permcodec._ext", ["src/permcodec/_ext.pyx"])],
-            language_level=3,
-        )
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("permcodec._ext", ["src/permcodec/_ext.c"], optional=True)])

@@ -1,11 +1,13 @@
 """Pure-Python pattern-search kernels.
 
-Reference implementation of the hot search routines. ``permcodec._ext``
-compiles ``first_occurrence`` and ``count_avoiders_dfs`` with the same
-semantics; ``avoiders``, the walk that yields every avoider, exists only here
-and serves both backends. Haystacks may be any sequences of distinct integers;
-patterns are permutations of 1..k. All indices are 0-based at this layer (the
-public API converts).
+Reference implementation of the search routines. ``permcodec._ext``
+(``_ext.c``) compiles ``count_avoiders_dfs`` with the same semantics;
+``first_occurrence`` and ``avoiders``, the walk that yields every avoider,
+exist only here and serve both backends. ``permcodec.kernels`` answers a
+count with ``n < len(q)`` as a factorial before either backend walks.
+Haystacks may be any sequences of distinct integers; patterns are
+permutations of 1..k. All indices are 0-based at this layer (the public API
+converts).
 
 The searches assign pattern slots one at a time and prune by value windows:
 once some slots are fixed, the value for the next slot must lie strictly
@@ -16,7 +18,6 @@ each side of the window.
 
 from __future__ import annotations
 
-from math import factorial
 from typing import Iterator, Sequence
 
 BACKEND = "pure"
@@ -134,6 +135,4 @@ def avoiders(q: Sequence[int], n: int, first: int = 0) -> Iterator[tuple[int, ..
 
 def count_avoiders_dfs(q: Sequence[int], n: int, first: int = 0) -> int:
     """Count permutations of 1..n avoiding q, optionally with a fixed first entry."""
-    if 0 < n < len(q):  # q never occurs, so skip walking n! leaves
-        return factorial(n - 1) if first else factorial(n)
     return sum(1 for _ in avoiders(q, n, first))

@@ -65,6 +65,14 @@ def require_length(n: int) -> None:
         raise DomainError(f"permutation length must be non-negative, got n={n}")
 
 
+def require_pattern(q) -> Perm:
+    """Return q as a tuple, or raise DomainError unless it is a permutation of 1..k."""
+    q = tuple(q)
+    if sorted(q) != list(range(1, len(q) + 1)):
+        raise DomainError(f"pattern must be a permutation of 1..{len(q)}, got {q!r}")
+    return q
+
+
 def _ensure_budget(n: int, budget: int, what: str, copies: int = 1) -> None:
     """Refuse copies * dfs_node_estimate(n) nodes over budget, summing only that far."""
     for total in _injective_prefix_totals(n):
@@ -81,14 +89,15 @@ def enumerate_avoiders(
 ) -> Iterator[Perm]:
     """Yield every length-n avoider of q exactly once, in lexicographic order.
 
-    ``first``, when given, must be an entry 1..n; only avoiders starting with
-    it are yielded.
+    q must be a permutation of 1..k. ``first``, when given, must be an entry
+    1..n; only avoiders starting with it are yielded.
     """
+    q = require_pattern(q)
     require_length(n)
     if first is not None and not 1 <= first <= n:
         raise DomainError(f"first entry must lie in 1..{n}, got first={first}")
     _ensure_budget(n, budget, f"enumerating avoiders at n={n}")
-    return kernels.avoiders(tuple(q), n, first or 0)
+    return kernels.avoiders(q, n, first or 0)
 
 
 def _count_shard(args: tuple[Perm, int, int]) -> int:
@@ -126,9 +135,12 @@ def count_avoiders(
     jobs: int = 1,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
-    """Number of length-n avoiders of q, consulting the cache when given."""
+    """Number of length-n avoiders of q, consulting the cache when given.
+
+    q must be a permutation of 1..k.
+    """
+    q = require_pattern(q)
     require_length(n)
-    q = tuple(q)
     key = format_permutation(symmetry_class(q)) if len(q) else ""
     if cache is not None:
         hit = cache.get(key, n)

@@ -64,6 +64,15 @@ def test_enumeration_edge_cases():
     ]
 
 
+@pytest.mark.parametrize("q", [(5, 9), (1, 1), (2, 3), (1, 2**63)])
+def test_patterns_must_be_permutations_of_one_to_k(q):
+    # the compiled count trusts its caller, so no other q may reach it
+    with pytest.raises(DomainError):
+        count_avoiders(q, 3)
+    with pytest.raises(DomainError):
+        enumerate_avoiders(q, 3)
+
+
 def test_first_entry_shards_partition_the_avoiders():
     q = staircase_pattern(4)
     n = 6
