@@ -65,7 +65,7 @@ def require_length(n: int) -> None:
         raise DomainError(f"permutation length must be non-negative, got n={n}")
 
 
-def require_pattern(q) -> Perm:
+def _require_pattern(q) -> Perm:
     """Return q as a tuple, or raise DomainError unless it is a permutation of 1..k."""
     q = tuple(q)
     if sorted(q) != list(range(1, len(q) + 1)):
@@ -92,7 +92,7 @@ def enumerate_avoiders(
     q must be a permutation of 1..k. ``first``, when given, must be an entry
     1..n; only avoiders starting with it are yielded.
     """
-    q = require_pattern(q)
+    q = _require_pattern(q)
     require_length(n)
     if first is not None and not 1 <= first <= n:
         raise DomainError(f"first entry must lie in 1..{n}, got first={first}")
@@ -139,7 +139,7 @@ def count_avoiders(
 
     q must be a permutation of 1..k.
     """
-    q = require_pattern(q)
+    q = _require_pattern(q)
     require_length(n)
     key = format_permutation(symmetry_class(q)) if len(q) else ""
     if cache is not None:

@@ -4,8 +4,8 @@ Only counting is compiled (``permcodec._ext``, built from ``_ext.c``). The
 avoider walk yields Python tuples, and the occurrence search only names the
 witness of a failed precondition, so both are the pure ones on either backend.
 
-Set PERMCODEC_PURE=1 to force the pure backend; the benchmark and the
-cross-checking tests use that to compare the two implementations.
+Set PERMCODEC_PURE=1 to force the pure backend; the benchmark uses that to
+time the two implementations.
 """
 
 import os
