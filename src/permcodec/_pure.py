@@ -1,23 +1,25 @@
 """Pure-Python pattern-search kernels.
 
 Reference implementation of the search routines. ``permcodec._ext``
-(``_ext.c``) compiles ``count_avoiders_dfs`` with the same semantics;
-``first_occurrence`` and ``avoiders``, the walk that yields every avoider,
-exist only here and serve both backends. ``permcodec.kernels`` answers a
-count with ``n < len(q)`` as a factorial before either backend walks.
-Haystacks may be any sequences of distinct integers; patterns are
-permutations of 1..k. All indices are 0-based at this layer (the public API
-converts).
+(``_ext.c``) compiles ``count_avoiders_dfs``, the memoized count engine,
+with the same algorithm; ``first_occurrence`` and ``avoiders``, the walk that
+yields every avoider, exist only here and serve both backends.
+``permcodec.kernels`` answers a count with ``n < len(q)`` as a factorial
+before either engine starts. Haystacks may be any sequences of distinct
+integers; patterns are permutations of 1..k. All indices are 0-based at this
+layer (the public API converts).
 
 The searches assign pattern slots one at a time and prune by value windows:
 once some slots are fixed, the value for the next slot must lie strictly
 between the values of the tightest smaller and larger pattern entries already
 assigned. ``_bounds`` precomputes, per slot, which earlier assignment provides
-each side of the window.
+each side of the window. The count engine uses the same windows, on gaps
+between unused values instead of on values.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, Sequence
 
 BACKEND = "pure"
@@ -133,6 +135,103 @@ def avoiders(q: Sequence[int], n: int, first: int = 0) -> Iterator[tuple[int, ..
     yield from walk(0)
 
 
-def count_avoiders_dfs(q: Sequence[int], n: int, first: int = 0) -> int:
-    """Count permutations of 1..n avoiding q, optionally with a fixed first entry."""
-    return sum(1 for _ in avoiders(q, n, first))
+def _slot_kinds(q: Sequence[int]) -> list[tuple[int | None, ...]]:
+    """kinds[j][s]: how slot s of a q[:j] occurrence meets the slots j..k-1.
+
+    -1 (lower-only): q[s] lies below every later entry, so a smaller gap is
+    easier to complete; 1 (upper-only): above every later entry, a larger gap
+    is easier; 0 (mixed): only an equal gap is as easy. None: no later slot
+    has q[s] as its nearest bound among q[:j], so the gap never matters.
+    """
+    k = len(q)
+    kinds = []
+    for j in range(k):
+        nearest = set()
+        for t in range(j, k):
+            below = [s for s in range(j) if q[s] < q[t]]
+            above = [s for s in range(j) if q[s] > q[t]]
+            nearest.update([max(below, key=q.__getitem__)] if below else [])
+            nearest.update([min(above, key=q.__getitem__)] if above else [])
+        later_lo, later_hi = min(q[j:]), max(q[j:])
+        kinds.append(tuple(
+            None if s not in nearest else -1 if q[s] < later_lo else 1 if q[s] > later_hi else 0
+            for s in range(j)
+        ))
+    return kinds
+
+
+def _pareto(tuples: list[tuple[int, ...]], signs: list[int], mixed: list[int]) -> tuple:
+    """The tuples that no other one dominates, in a canonical order.
+
+    ``signs`` is -1 on the upper-only slots and 1 elsewhere; ``mixed`` lists
+    the mixed slots. With the signs applied, a tuple dominates another
+    exactly when it is nowhere larger and equal on the mixed slots, so
+    sorting puts every dominating tuple first.
+    """
+    kept: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    out = []
+    for x, t in sorted((tuple(map(operator.mul, t, signs)), t) for t in set(tuples)):
+        rivals = kept.setdefault(tuple(map(t.__getitem__, mixed)), [])
+        if not any(all(map(operator.le, a, x)) for a in rivals):
+            rivals.append(x)
+            out.append(t)
+    return tuple(out)
+
+
+def count_avoiders_dfs(q: Sequence[int], n: int) -> int:
+    """Count permutations of 1..n avoiding q, memoized on reduced prefix states.
+
+    After a prefix, the m unused values u_1 < ... < u_m split the value line
+    into gaps 0..m. An occurrence of q[:j] in the prefix (0 < j < k) matters
+    to the rest of the permutation only through the gaps its values lie in,
+    so the state keeps, per j, the Pareto-minimal such gap tuples among those
+    that can still be completed. Placing u_i kills the prefix if a q[:k-1]
+    tuple admits u_i as q[k-1]; otherwise every tuple that admits u_i grows
+    by one slot, (u_i) starts a q[:1] tuple, and gaps i-1 and i merge. The
+    count of a state with m values left is memoized (after Marinov and
+    Radoicic, *Counting 1324-avoiding permutations*, 2003).
+    """
+    k = len(q)
+    if k < 2:  # () occurs in every permutation, (1) in every nonempty one
+        return int(k == 1 and n == 0)
+    lo, hi = _bounds(q, range(k))
+    kinds = _slot_kinds(q)
+    signs = [[-1 if c == 1 else 1 for c in kind] for kind in kinds]
+    mixed = [[s for s, c in enumerate(kind) if c == 0] for kind in kinds]
+    memo: dict = {}
+
+    def window(t: tuple[int, ...], j: int, m: int) -> tuple[int, int]:
+        """u_i, of m unused values, may be slot j after the q[:j] tuple t iff a < i <= b."""
+        return (t[lo[j]] if lo[j] >= 0 else 0), (t[hi[j]] if hi[j] >= 0 else m)
+
+    def count(state: tuple, m: int) -> int:
+        if m == 0:
+            return 1
+        key = (state, m)
+        if key in memo:
+            return memo[key]
+        windows = [[(t, *window(t, j, m)) for t in group] for j, group in enumerate(state, 1)]
+        total = 0
+        for i in range(1, m + 1):
+            if any(a < i <= b for _, a, b in windows[-1]):
+                continue  # u_i would complete q
+            shift = (*range(i), *range(i - 1, m))  # gaps i-1 and i merge; u_i is in gap i-1
+            nxt = []
+            for j in range(1, k):
+                if m - 1 < k - j:  # too few values left to complete q[:j]
+                    nxt.append(())
+                    continue
+                grown = [(i - 1,)] if j == 1 else [
+                    tuple(0 if c is None else g for g, c in zip((*map(shift.__getitem__, t), i - 1), kinds[j]))
+                    for t, a, b in windows[j - 2] if a < i <= b
+                ]
+                alive = [
+                    t for t in [*(tuple(map(shift.__getitem__, t)) for t in state[j - 1]), *grown]
+                    if operator.lt(*window(t, j, m - 1))
+                ]
+                nxt.append(_pareto(alive, signs[j], mixed[j]) if len(alive) > 1 else tuple(alive))
+            total += count(tuple(nxt), m - 1)
+        memo[key] = total
+        return total
+
+    return count(((),) * (k - 1), n)

@@ -90,7 +90,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     q = parse_permutation(args.pattern)
     require_length(args.n)
     store = CacheStore.load(_cache_path(args))
-    total = count_avoiders(q, args.n, cache=store, jobs=args.jobs, budget=args.budget)
+    total = count_avoiders(q, args.n, cache=store, budget=args.budget)
     _emit(str(total))
     return 0
 
@@ -131,7 +131,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         _ensure_budget(args.nmax, args.budget, f"counting avoiders at n={args.nmax}")
     q = staircase_pattern(min(args.k, max(args.nmax + 1, 3)))
     counts = {
-        n: count_avoiders(q, n, jobs=args.jobs, budget=args.budget)
+        n: count_avoiders(q, n, budget=args.budget)
         for n in range(args.nmax, -1, -1)
     }
     rows = bound_table(args.k, args.nmax, counts)
@@ -173,7 +173,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    report = scan_classes(args.k, args.n, jobs=args.jobs, budget=args.budget)
+    report = scan_classes(args.k, args.n, budget=args.budget)
     if args.format == "json":
         _emit(json.dumps(report.to_dict()))
     else:
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--jobs", type=int, default=1, metavar="J",
-        help="worker processes (output is identical for any J)",
+        help="worker processes for verify; counts run in one (output is identical for any J)",
     )
 
     parser = argparse.ArgumentParser(

@@ -3,16 +3,17 @@
 Enumeration is a prefix-extension DFS in lexicographic order: a prefix is
 extended value by value and abandoned as soon as it contains the pattern, so
 each extension only needs a check for occurrences ending at the new entry.
-The DFS itself lives in the search kernels (``kernels.avoiders`` yields the
-avoiders, ``kernels.count_avoiders_dfs`` counts them); this module adds budget
-guards, sharding by first entry for parallel runs, the persistent count cache,
-and the two sweep reports.
+Counting does not walk the avoiders: it memoizes completion counts on
+reduced prefix states. Both live in the search kernels (``kernels.avoiders``
+yields the avoiders, ``kernels.count_avoiders_dfs`` counts them); this module
+adds budget guards, sharding of verification by first entry for parallel
+runs, the persistent count cache, and the two sweep reports.
 
 Every operation estimates its node count up front (the injective-prefix
 bound sum_j n!/(n-j)!, which ignores pruning on purpose) and raises
-ScaleRefused beyond the budget instead of hanging. Parallel runs shard by
-first entry; shards are reduced in first-entry order, so results are
-byte-identical to a single-threaded run.
+ScaleRefused beyond the budget instead of hanging. Counts run in one
+process. Parallel verification shards by first entry; shards are reduced in
+first-entry order, so results are byte-identical to a single-threaded run.
 """
 
 from __future__ import annotations
@@ -100,11 +101,6 @@ def enumerate_avoiders(
     return kernels.avoiders(q, n, first or 0)
 
 
-def _count_shard(args: tuple[Perm, int, int]) -> int:
-    q, n, first = args
-    return kernels.count_avoiders_dfs(q, n, first)
-
-
 def _exit_with_parent() -> None:
     """Pool initializer: exit once the process that started the pool dies."""
     from multiprocessing import parent_process  # already loaded in a worker
@@ -132,7 +128,6 @@ def count_avoiders(
     n: int,
     *,
     cache: CacheStore | None = None,
-    jobs: int = 1,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
     """Number of length-n avoiders of q, consulting the cache when given.
@@ -147,11 +142,7 @@ def count_avoiders(
         if hit is not None:
             return hit
     _ensure_budget(n, budget, f"counting avoiders at n={n}")
-    if n == 0 or len(q) == 0:
-        total = kernels.count_avoiders_dfs(q, n)
-    else:
-        shard_args = [(q, n, first) for first in range(1, n + 1)]
-        total = sum(_map_shards(_count_shard, shard_args, jobs))
+    total = kernels.count_avoiders_dfs(q, n)
     if cache is not None:
         cache.put(key, n, total)
     return total
@@ -297,7 +288,6 @@ def scan_classes(
     k: int,
     n: int,
     *,
-    jobs: int = 1,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> ConjectureReport:
     """Count length-n avoiders for every symmetry class of length-k patterns.
@@ -315,10 +305,10 @@ def scan_classes(
     reps = sorted({symmetry_class(tuple(q)) for q in permutations(range(1, k + 1))})
     entries = []
     for rep in reps:
-        count = count_avoiders(rep, n, jobs=jobs, budget=budget)
+        count = count_avoiders(rep, n, budget=budget)
         ratio = None
         if n >= 1:
-            previous = count_avoiders(rep, n - 1, jobs=jobs, budget=budget)
+            previous = count_avoiders(rep, n - 1, budget=budget)
             ratio = count / previous if previous else None
         entries.append(
             ClassCount(

@@ -7,7 +7,9 @@ run at desk scale.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb
 
 
 def rank_pattern(values):
@@ -43,6 +45,32 @@ def catalan(n):
     while len(c) <= n:
         c.append(sum(c[i] * c[len(c) - 1 - i] for i in range(len(c))))
     return c[n]
+
+
+#: OEIS A061552, permutations of length n avoiding 1324, n = 0..13
+A061552 = (1, 1, 2, 6, 23, 103, 513, 2762, 15793, 94776, 591950, 3824112, 25431452, 173453058)
+
+
+def gessel_1234(n):
+    """Number of length-n permutations avoiding 1234 (Gessel's formula)."""
+    total = sum(
+        Fraction(2 * comb(2 * k, k) * comb(n, k) ** 2 * (3 * k * k + 2 * k + 1 - n - 2 * n * k),
+                 (k + 1) ** 2 * (k + 2) * (n - k + 1))
+        for k in range(n + 1)
+    )
+    if total.denominator != 1:
+        raise ArithmeticError(f"Gessel's sum is not an integer at n={n}")
+    return int(total)
+
+
+def symmetries(q):
+    """The eight images of q under reverse, complement and inverse."""
+    k = len(q)
+    images = []
+    for p in (tuple(q), tuple(sorted(range(1, k + 1), key=lambda v: q[v - 1]))):  # q, inverse
+        for r in (p, p[::-1]):
+            images += [r, tuple(k + 1 - v for v in r)]
+    return images
 
 
 def product_count_words(alphabet, forbidden, n):

@@ -369,11 +369,11 @@ _CLI_WITH_START_METHOD = (
 )
 @pytest.mark.parametrize("method", [None, "fork", "forkserver", "spawn"])
 def test_pool_workers_exit_when_the_cli_is_killed(tmp_path, method):
-    count = ["count", "-q", "1324", "-n", "11", "--jobs", "2"]
+    verify = ["verify", "--k", "6", "-n", "10", "--jobs", "2"]  # runs for minutes
     if method is None:  # the interpreter's default start method
-        argv = [sys.executable, "-m", "permcodec", *count]
+        argv = [sys.executable, "-m", "permcodec", *verify]
     else:
-        argv = [sys.executable, "-c", _CLI_WITH_START_METHOD, method, *count]
+        argv = [sys.executable, "-c", _CLI_WITH_START_METHOD, method, *verify]
     # the CLI and its two workers, plus the fork server that starts them
     members = 4 if method == "forkserver" else 3
     proc = subprocess.Popen(

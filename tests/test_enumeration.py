@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 import oracles
-from permcodec import enumeration
+from permcodec import cli, enumeration
 from permcodec.cache import CacheStore
 from permcodec.codec import decode_avoider
 from permcodec.enumeration import (
@@ -96,11 +96,6 @@ def test_count_avoiders_with_and_without_cache(tmp_path):
     assert count_avoiders((1, 3, 2), 5, cache=cache) == 999
 
 
-def test_count_avoiders_parallel_matches_serial():
-    q = staircase_pattern(4)
-    assert count_avoiders(q, 7, jobs=4) == count_avoiders(q, 7)
-
-
 def test_verify_injection_passes_at_desk_scale():
     for k, n in [(3, 6), (4, 6), (5, 6), (6, 6)]:
         report = verify_injection(k, n)
@@ -134,8 +129,6 @@ def test_real_pool_under_each_start_method(monkeypatch, method):
     )
     monkeypatch.setattr(enumeration.concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    q = staircase_pattern(4)
-    assert count_avoiders(q, 6, jobs=2) == count_avoiders(q, 6)
     assert verify_injection(4, 6, jobs=2) == verify_injection(4, 6)
 
 
@@ -176,11 +169,26 @@ def test_pool_size_is_clamped(monkeypatch, cpus, n, jobs, size):
     pool_module = enumeration.concurrent.futures
     monkeypatch.setattr(pool_module, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
-    q = staircase_pattern(4)
-    assert count_avoiders(q, n, jobs=jobs) == len(oracles.brute_avoiders(q, n))
     report = verify_injection(4, n, jobs=jobs)
-    assert report.passed and report.total == len(oracles.brute_avoiders(q, n))
-    assert _RecordingPool.sizes == ([] if size is None else [size, size])
+    assert report.passed and report.total == len(oracles.brute_avoiders(staircase_pattern(4), n))
+    assert _RecordingPool.sizes == ([] if size is None else [size])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "-q", "1324", "-n", "9"],
+        ["scan", "--k", "4", "-n", "6"],
+        ["bounds", "--k", "4", "--nmax", "6"],
+    ],
+)
+def test_counts_run_in_one_process_for_any_jobs(monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(enumeration.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
+    assert cli.main([*argv, "--jobs", "4", "--cache", str(tmp_path / "c.jsonl")]) == 0
+    assert capsys.readouterr().out
+    assert _RecordingPool.sizes == []
 
 
 @pytest.mark.parametrize("victims", [1, 12])

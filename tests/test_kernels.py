@@ -1,11 +1,7 @@
-import concurrent.futures
-import functools
 import importlib.util
-import multiprocessing
 import subprocess
 import sys
 import time
-from collections import Counter
 from itertools import permutations
 from math import factorial
 from pathlib import Path
@@ -15,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from conftest import cli_env
-from permcodec import _pure, enumeration, kernels
+from permcodec import _pure, kernels
 from permcodec.enumeration import count_avoiders
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -116,31 +112,62 @@ def test_count_edge_cases(impl):
     assert impl.count_avoiders_dfs((), 0) == 0
 
 
-def test_first_entry_shards_partition_the_count(impl):
-    q = (1, 3, 2, 4)
-    for n in range(1, 7):
-        total = impl.count_avoiders_dfs(q, n)
-        assert total == sum(
-            impl.count_avoiders_dfs(q, n, first) for first in range(1, n + 1)
-        )
-
-
-def test_backends_agree_on_counts(ext):
+def test_engines_agree_with_the_avoider_walk(ext):
     for k in range(0, 6):
         for q in permutations(range(1, k + 1)):
             for n in range(0, 8):
-                firsts = Counter(p[:1] for p in _pure.avoiders(q, n))
-                assert ext.count_avoiders_dfs(q, n) == firsts.total()
-                for first in range(1, n + 1):
-                    assert ext.count_avoiders_dfs(q, n, first) == firsts[(first,)]
+                walk = sum(1 for _ in _pure.avoiders(q, n))
+                assert _pure.count_avoiders_dfs(q, n) == ext.count_avoiders_dfs(q, n) == walk
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def reach(request):
+    """An engine and the largest n its oracle checks run to."""
+    if request.param == "pure":
+        return _pure, 9
+    return request.getfixturevalue("ext"), 12
+
+
+def test_counts_match_closed_forms_and_a061552(reach):
+    impl, top = reach
+    for n in range(top + 1):
+        for q in permutations((1, 2, 3)):
+            assert impl.count_avoiders_dfs(q, n) == oracles.catalan(n), (q, n)
+        assert impl.count_avoiders_dfs((1, 2, 3, 4), n + 2) == oracles.gessel_1234(n + 2)
+    for n, want in enumerate(oracles.A061552[:top + 2]):
+        assert impl.count_avoiders_dfs((1, 3, 2, 4), n) == want
+
+
+def test_counts_are_the_same_across_the_eight_symmetries(reach):
+    impl, top = reach
+    classes = {min(oracles.symmetries(q)) for q in permutations(range(1, 5))}
+    for q in [*sorted(classes), (2, 5, 3, 1, 4), (1, 3, 2, 5, 4), (2, 4, 1, 5, 3)]:
+        n = top - 2 + (len(q) == 4)
+        assert len({impl.count_avoiders_dfs(s, n) for s in oracles.symmetries(q)}) == 1, q
+
+
+def test_proved_wilf_equivalences_hold(reach):
+    # 12+s ~ 21+s (Backelin-West-Xin) and 1342 ~ 2413 (Stankova)
+    impl, top = reach
+    for n in range(top + 1):
+        assert len({impl.count_avoiders_dfs(q, n) for q in
+                    [(1, 2, 3, 4), (2, 1, 3, 4), (1, 2, 4, 3), (2, 1, 4, 3)]}) == 1, n
+        assert impl.count_avoiders_dfs((1, 3, 4, 2), n) == impl.count_avoiders_dfs((2, 4, 1, 3), n)
+
+
+def test_compiled_engine_counts_1324_at_fourteen_within_seconds(ext, monkeypatch):
+    monkeypatch.setattr(kernels, "_impl", ext)
+    start = time.perf_counter()
+    assert count_avoiders((1, 3, 2, 4), 14, budget=10**12) == 1209639642  # A061552(14)
+    assert time.perf_counter() - start < 5
 
 
 def test_compiled_count_refuses_a_total_that_could_wrap(ext, monkeypatch):
-    # 21! > 2**63, so the 64-bit walk stops at n = 20 and kernels walks in Python
+    # 21! > 2**63, so the 64-bit engine stops at n = 20 and kernels counts in Python
     with pytest.raises(OverflowError):
         ext.count_avoiders_dfs((1, 3, 2, 4), 21)
     monkeypatch.setattr(kernels, "_impl", ext)
-    monkeypatch.setattr(_pure, "count_avoiders_dfs", lambda q, n, first=0: "pure")
+    monkeypatch.setattr(_pure, "count_avoiders_dfs", lambda q, n: "pure")
     assert kernels.count_avoiders_dfs((1, 3, 2, 4), 21) == "pure"
     assert kernels.count_avoiders_dfs((1, 2), 20) == 1
 
@@ -150,18 +177,3 @@ def test_a_pattern_longer_than_n_counts_as_a_factorial(impl, monkeypatch):
     start = time.perf_counter()
     assert count_avoiders(tuple(range(1, 31)), 11) == factorial(11)
     assert time.perf_counter() - start < 1
-
-
-def test_compiled_count_does_not_depend_on_jobs(ext, monkeypatch):
-    # forked workers inherit the patches, so a shard that fell back to the
-    # pure walk would fail
-    monkeypatch.setattr(kernels, "_impl", ext)
-    monkeypatch.setattr(_pure, "count_avoiders_dfs", None)
-    pool = functools.partial(
-        concurrent.futures.ProcessPoolExecutor,
-        mp_context=multiprocessing.get_context("fork"),
-    )
-    monkeypatch.setattr(enumeration.concurrent.futures, "ProcessPoolExecutor", pool)
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    q = (1, 3, 2, 4)
-    assert count_avoiders(q, 9, jobs=2) == count_avoiders(q, 9, jobs=1) == 94776
