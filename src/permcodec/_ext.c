@@ -169,7 +169,7 @@ pareto(Engine *e, int j, Bytes *out)
 {
     const signed char *kind = e->kind + (size_t)j * e->k;
     const unsigned char *c = e->cand.data;
-    size_t count = j ? e->cand.len / j : 0;
+    size_t count = e->cand.len / j;
     if (count > e->order_cap) {
         size_t cap = 2 * count;
         int *order = realloc(e->order, cap * sizeof(int));

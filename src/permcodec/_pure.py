@@ -148,10 +148,8 @@ def _slot_kinds(q: Sequence[int]) -> list[tuple[int | None, ...]]:
     for j in range(k):
         nearest = set()
         for t in range(j, k):
-            below = [s for s in range(j) if q[s] < q[t]]
-            above = [s for s in range(j) if q[s] > q[t]]
-            nearest.update([max(below, key=q.__getitem__)] if below else [])
-            nearest.update([min(above, key=q.__getitem__)] if above else [])
+            lo, hi = _bounds(q, [*range(j), t])
+            nearest.update((lo[t], hi[t]))
         later_lo, later_hi = min(q[j:]), max(q[j:])
         kinds.append(tuple(
             None if s not in nearest else -1 if q[s] < later_lo else 1 if q[s] > later_hi else 0
