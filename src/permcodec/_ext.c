@@ -1,19 +1,23 @@
 /*
  * Compiled avoider count for permcodec.kernels.
  *
- * count_avoiders_dfs(q, n) counts the permutations of 1..n that avoid q with
- * the memoized engine of permcodec._pure.count_avoiders_dfs (see that
- * function for the algorithm): a prefix is reduced to the gaps, among the
- * unused values, of the partial occurrences of q that it holds, and the
- * count of each reduced state is computed once. A state is packed one byte
- * per gap: for j = 1..k-1 its q[:j] tuples, j bytes each, in canonical order,
- * then the byte END. Counts are kept in an open-addressing table keyed by
- * the number of unused values and the packed state. The engine runs without
- * the GIL; its buffers grow as needed.
+ * count_avoiders_dfs(q, n) returns the avoider counts of q for every length
+ * 0..n, with the memoized engine of permcodec._pure.count_avoiders_dfs (see
+ * that function for the algorithm): a prefix is reduced to the gaps, among
+ * the unused values, of the partial occurrences of q that it holds, and the
+ * count of each reduced state is computed once. The memo key does not
+ * depend on n, and counting n passes through the empty state at every
+ * shorter length, so one table answers all n + 1 lengths at the cost of n
+ * alone. A state is packed one byte per gap: for j = 1..k-1 its q[:j]
+ * tuples, j bytes each, in canonical order, then the byte END. Counts are
+ * kept in an open-addressing table keyed by the number of unused values and
+ * the packed state. The engine runs without the GIL; its buffers grow as
+ * needed.
  *
  * The caller, permcodec.kernels, checks that q is a permutation of 1..k and
- * answers n < len(q) itself. The total is a 64-bit integer, so n past MAX_N
- * is refused: 20! < 2**63. Gaps are at most n, so a byte holds each.
+ * answers len(q) < 2, which the engine refuses, and n < len(q) itself.
+ * Counts are 64-bit integers, so n past MAX_N is refused: 20! < 2**63. Gaps
+ * are at most n, so a byte holds each.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -323,8 +327,9 @@ count(Engine *e, int d)
     return total;
 }
 
-static uint64_t
-run(Engine *e)
+/* counts[m], for m = 0..n: the completions of the empty state with m values left. */
+static void
+run(Engine *e, uint64_t *counts)
 {
     int k = e->k, n = e->n;
     e->cap = 1024;
@@ -334,12 +339,14 @@ run(Engine *e)
     e->tuple = malloc(k);
     if (!e->table || !e->states || !e->groups || !e->tuple) {
         e->failed = 1;
-        return 0;
+        return;
     }
     unsigned char end = END;
-    for (int j = 1; j < k; j++)
-        push(e, &e->states[0], &end, 1);
-    return e->failed ? 0 : count(e, 0);
+    for (int d = n; d >= 0 && !e->failed; d--) {  /* count(e, d) writes only states past d */
+        for (int j = 1; j < k; j++)
+            push(e, &e->states[d], &end, 1);
+        counts[n - d] = count(e, d);
+    }
 }
 
 static void
@@ -371,9 +378,9 @@ count_avoiders_dfs(PyObject *self, PyObject *args, PyObject *kwargs)
     if (!(seq = PySequence_Fast(q_obj, "q must be a sequence")))
         return NULL;
     Py_ssize_t k = PySequence_Fast_GET_SIZE(seq);
-    if (k < 2) {  /* () occurs in every permutation, (1) in every nonempty one */
+    if (k < 2) {  /* kernels answers these; the engine would read a q[:k-1] group */
         Py_DECREF(seq);
-        return PyLong_FromLong(k == 1 && n == 0);
+        return PyErr_Format(PyExc_ValueError, "the compiled count takes len(q) >= 2");
     }
     Engine e = {.k = (int)k, .n = n};
     long long *q = PyMem_Malloc(k * sizeof(long long));
@@ -390,12 +397,23 @@ count_avoiders_dfs(PyObject *self, PyObject *args, PyObject *kwargs)
             goto done;
     }
     describe(q, e.k, e.lo, e.hi, e.kind);
-    uint64_t total;
+    uint64_t counts[MAX_N + 1];
     Py_BEGIN_ALLOW_THREADS
-    total = run(&e);
+    run(&e, counts);
     release(&e);
     Py_END_ALLOW_THREADS
-    result = e.failed ? PyErr_NoMemory() : PyLong_FromUnsignedLongLong(total);
+    if (e.failed) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    result = PyList_New(n + 1);
+    for (int m = 0; result && m <= n; m++) {
+        PyObject *c = PyLong_FromUnsignedLongLong(counts[m]);
+        if (!c)
+            Py_CLEAR(result);
+        else
+            PyList_SET_ITEM(result, m, c);
+    }
 done:
     PyMem_Free(q);
     PyMem_Free(e.lo);
@@ -406,7 +424,7 @@ done:
 
 static PyMethodDef methods[] = {
     {"count_avoiders_dfs", (PyCFunction)(void (*)(void))count_avoiders_dfs,
-     METH_VARARGS | METH_KEYWORDS, "Count permutations of 1..n avoiding q."},
+     METH_VARARGS | METH_KEYWORDS, "Avoider counts of q for the lengths 0..n."},
     {NULL, NULL, 0, NULL},
 };
 

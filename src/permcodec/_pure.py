@@ -4,7 +4,7 @@ Reference implementation of the search routines. ``permcodec._ext``
 (``_ext.c``) compiles ``count_avoiders_dfs``, the memoized count engine,
 with the same algorithm; ``first_occurrence`` and ``avoiders``, the walk that
 yields every avoider, exist only here and serve both backends.
-``permcodec.kernels`` answers a count with ``n < len(q)`` as a factorial
+``permcodec.kernels`` answers a count with ``len(q) < 2`` or ``n < len(q)``
 before either engine starts. Haystacks may be any sequences of distinct
 integers; patterns are permutations of 1..k. All indices are 0-based at this
 layer (the public API converts).
@@ -176,8 +176,8 @@ def _pareto(tuples: list[tuple[int, ...]], signs: list[int], mixed: list[int]) -
     return tuple(out)
 
 
-def count_avoiders_dfs(q: Sequence[int], n: int) -> int:
-    """Count permutations of 1..n avoiding q, memoized on reduced prefix states.
+def count_avoiders_dfs(q: Sequence[int], n: int) -> list[int]:
+    """Avoider counts of q, of length k >= 2, for every length 0..n, from one memo table.
 
     After a prefix, the m unused values u_1 < ... < u_m split the value line
     into gaps 0..m. An occurrence of q[:j] in the prefix (0 < j < k) matters
@@ -187,11 +187,11 @@ def count_avoiders_dfs(q: Sequence[int], n: int) -> int:
     tuple admits u_i as q[k-1]; otherwise every tuple that admits u_i grows
     by one slot, (u_i) starts a q[:1] tuple, and gaps i-1 and i merge. The
     count of a state with m values left is memoized (after Marinov and
-    Radoicic, *Counting 1324-avoiding permutations*, 2003).
+    Radoicic, *Counting 1324-avoiding permutations*, 2003). The key does not
+    depend on n, and the empty state stays empty when the largest value (the
+    smallest if q[1] < q[0]) is placed, so n's table holds every shorter n.
     """
     k = len(q)
-    if k < 2:  # () occurs in every permutation, (1) in every nonempty one
-        return int(k == 1 and n == 0)
     lo, hi = _bounds(q, range(k))
     kinds = _slot_kinds(q)
     signs = [[-1 if c == 1 else 1 for c in kind] for kind in kinds]
@@ -232,4 +232,4 @@ def count_avoiders_dfs(q: Sequence[int], n: int) -> int:
         memo[key] = total
         return total
 
-    return count(((),) * (k - 1), n)
+    return [count(((),) * (k - 1), m) for m in range(n + 1)]

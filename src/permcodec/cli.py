@@ -10,7 +10,8 @@ Exit codes:
   2  unreadable input (permutation or word text, bad lengths, bad ranges)
   3  precondition failed: the permutation contains the pattern
   4  the word pair is not the code of any avoider
-  5  refused: the requested sweep exceeds the node budget or size limits
+  5  refused: the requested sweep exceeds the node budget or size limits,
+     or the count ran out of memory
   6  cache file could not be read or written
 """
 
@@ -27,10 +28,10 @@ from permcodec.cache import CacheStore
 from permcodec.codec import decode_avoider, encode_avoider
 from permcodec.enumeration import (
     DEFAULT_NODE_BUDGET,
-    _ensure_budget,
     count_avoiders,
     require_length,
     scan_classes,
+    staircase_counts,
     verify_injection,
 )
 from permcodec.errors import (
@@ -42,7 +43,7 @@ from permcodec.errors import (
     PreconditionViolated,
     ScaleRefused,
 )
-from permcodec.perms import format_permutation, parse_permutation, staircase_pattern
+from permcodec.perms import format_permutation, parse_permutation
 from permcodec.wordcount import (
     bound_row_dict,
     bound_rows_csv,
@@ -124,17 +125,8 @@ def cmd_words(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    # last row first: the budget refuses a huge --nmax before any pattern is
-    # built or counted; a pattern longer than a row never occurs in it, so
-    # nmax + 1 entries give every row's count
-    if args.k >= 3:  # else staircase_pattern refuses k
-        _ensure_budget(args.nmax, args.budget, f"counting avoiders at n={args.nmax}")
-    q = staircase_pattern(min(args.k, max(args.nmax + 1, 3)))
-    counts = {
-        n: count_avoiders(q, n, budget=args.budget)
-        for n in range(args.nmax, -1, -1)
-    }
-    rows = bound_table(args.k, args.nmax, counts)
+    counts = staircase_counts(args.k, args.nmax, budget=args.budget)
+    rows = bound_table(args.k, args.nmax, dict(enumerate(counts)))
     try:
         if args.format == "json":
             lines = [json.dumps([bound_row_dict(r) for r in rows])]
@@ -195,23 +187,25 @@ def _plain(value) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv", "plain"), default="plain",
-        help="output format (default: plain)",
-    )
-    common.add_argument(
+    # every subcommand takes --cache; only the sweeps take --budget and --jobs
+    cached = argparse.ArgumentParser(add_help=False)
+    cached.add_argument(
         "--cache", metavar="PATH", default=None,
         help=f"count cache file (default: $PERMCODEC_CACHE or ./{DEFAULT_CACHE})",
     )
-    common.add_argument(
+    sweep = argparse.ArgumentParser(add_help=False, parents=[cached])
+    sweep.add_argument(
         "--budget", type=int, default=DEFAULT_NODE_BUDGET, metavar="N",
         help="refuse sweeps estimated over this many search nodes",
     )
-    common.add_argument(
+    sweep.add_argument(
         "--jobs", type=int, default=1, metavar="J",
         help="worker processes for verify; counts run in one (output is identical for any J)",
     )
+
+    def add_format(p, *choices):
+        p.add_argument("--format", choices=(*choices, "plain"), default="plain",
+                       help="output format (default: plain)")
 
     parser = argparse.ArgumentParser(
         prog="permcodec",
@@ -219,39 +213,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", parents=[common], help="encode an avoider")
+    p = sub.add_parser("encode", parents=[cached], help="encode an avoider")
     p.add_argument("perm", help="permutation text (digits or comma-separated)")
     p.add_argument("--k", type=int, required=True, help="staircase pattern length")
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("decode", parents=[common], help="decode a word pair")
+    p = sub.add_parser("decode", parents=[cached], help="decode a word pair")
     p.add_argument("w", help="position word")
     p.add_argument("wp", help="value word")
     p.add_argument("--k", type=int, required=True, help="staircase pattern length")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("count", parents=[common], help="count avoiders of a pattern")
+    p = sub.add_parser("count", parents=[sweep], help="count avoiders of a pattern")
     p.add_argument("-q", "--pattern", required=True, help="pattern text")
     p.add_argument("-n", "--n", type=int, required=True, help="permutation length")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("words", parents=[common], help="count words in a family")
+    p = sub.add_parser("words", parents=[cached], help="count words in a family")
     p.add_argument("--m", type=int, required=True, help="family index (m >= 2)")
     p.add_argument("--parity", choices=("odd", "even"), required=True)
     p.add_argument("-n", "--n", type=int, default=None, help="word length")
     p.set_defaults(func=cmd_words)
 
-    p = sub.add_parser("bounds", parents=[common], help="avoider/word bound table")
+    p = sub.add_parser("bounds", parents=[sweep], help="avoider/word bound table")
+    add_format(p, "json", "csv")
     p.add_argument("--k", type=int, required=True, help="staircase pattern length")
     p.add_argument("--nmax", type=int, required=True, help="last row")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("verify", parents=[common], help="exhaustive encoder check")
+    p = sub.add_parser("verify", parents=[sweep], help="exhaustive encoder check")
+    add_format(p, "json")
     p.add_argument("--k", type=int, required=True, help="staircase pattern length")
     p.add_argument("-n", "--n", type=int, required=True, help="permutation length")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("scan", parents=[common], help="count avoiders per class")
+    p = sub.add_parser("scan", parents=[sweep], help="count avoiders per class")
+    add_format(p, "json")
     p.add_argument("--k", type=int, required=True, help="pattern length")
     p.add_argument("-n", "--n", type=int, required=True, help="permutation length")
     p.set_defaults(func=cmd_scan)
@@ -269,8 +266,8 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionViolated as exc:
         print(f"permcodec: {exc}", file=sys.stderr)
         return 3
-    except ScaleRefused as exc:
-        print(f"permcodec: {exc}", file=sys.stderr)
+    except (ScaleRefused, MemoryError) as exc:  # str(MemoryError()) is empty
+        print(f"permcodec: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 5
     except CacheIOError as exc:
         print(f"permcodec: {exc}", file=sys.stderr)

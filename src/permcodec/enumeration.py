@@ -7,7 +7,9 @@ Counting does not walk the avoiders: it memoizes completion counts on
 reduced prefix states. Both live in the search kernels (``kernels.avoiders``
 yields the avoiders, ``kernels.count_avoiders_dfs`` counts them); this module
 adds budget guards, sharding of verification by first entry for parallel
-runs, the persistent count cache, and the two sweep reports.
+runs, the persistent count cache, the two sweep reports, and the staircase
+counts behind the bound table. One engine call answers every length 0..n of
+a pattern, so a count, each class of a scan and a whole bound table cost one.
 
 Every operation estimates its node count up front (the injective-prefix
 bound sum_j n!/(n-j)!, which ignores pruning on purpose) and raises
@@ -142,10 +144,18 @@ def count_avoiders(
         if hit is not None:
             return hit
     _ensure_budget(n, budget, f"counting avoiders at n={n}")
-    total = kernels.count_avoiders_dfs(q, n)
+    total = kernels.count_avoiders_dfs(q, n)[n]
     if cache is not None:
         cache.put(key, n, total)
     return total
+
+
+def staircase_counts(k: int, n_max: int, *, budget: int = DEFAULT_NODE_BUDGET) -> list[int]:
+    """Avoider counts of the length-k staircase for n = 0..n_max, from one engine call."""
+    if k >= 3:  # else staircase_pattern refuses k; a huge n_max is refused before it is built
+        _ensure_budget(n_max, budget, f"counting avoiders at n={n_max}")
+    # a pattern longer than n_max never occurs, so n_max + 1 entries give the same counts
+    return kernels.count_avoiders_dfs(staircase_pattern(min(k, max(n_max + 1, 3))), n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +315,13 @@ def scan_classes(
     reps = sorted({symmetry_class(tuple(q)) for q in permutations(range(1, k + 1))})
     entries = []
     for rep in reps:
-        count = count_avoiders(rep, n, budget=budget)
-        ratio = None
-        if n >= 1:
-            previous = count_avoiders(rep, n - 1, budget=budget)
-            ratio = count / previous if previous else None
+        *previous, count = kernels.count_avoiders_dfs(rep, n)
         entries.append(
             ClassCount(
                 representative=format_permutation(rep),
                 count=count,
                 layered=any(is_layered(s) for s in symmetry_orbit(rep)),
-                growth_ratio=ratio,
+                growth_ratio=count / previous[-1] if previous and previous[-1] else None,
             )
         )
     max_count = max(entry.count for entry in entries)

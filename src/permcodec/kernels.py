@@ -31,10 +31,12 @@ avoiders = _pure.avoiders
 _COMPILED_MAX_N = 20
 
 
-def count_avoiders_dfs(q, n: int) -> int:
-    """Count permutations of 1..n avoiding q, a permutation of 1..k."""
+def count_avoiders_dfs(q, n: int) -> list[int]:
+    """Avoider counts of q, a permutation of 1..k, for every length 0..n, at the cost of n."""
+    if len(q) < 2:  # () occurs in every permutation, (1) in every nonempty one
+        return [int(len(q) == 1 and m == 0) for m in range(n + 1)]
     if n < len(q):  # q never occurs; the engine's setup grows as len(q) cubed
-        return factorial(n)
+        return [factorial(m) for m in range(n + 1)]
     if n > _COMPILED_MAX_N:
         return _pure.count_avoiders_dfs(q, n)
     return _impl.count_avoiders_dfs(q, n)

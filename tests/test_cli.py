@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import cli_env, run_cli
+from permcodec import kernels
 from permcodec.cli import main
 from permcodec.wordcount import RecurrenceCounter, closed_form, count_words
 from permcodec.words import WordFamily
@@ -267,6 +268,54 @@ def test_huge_parameters_end_quickly(tmp_path, args, code, stdout):
     assert "Traceback" not in out.stderr
 
 
+#: argv of the subcommands that take no flag but --cache; each exits 0 as it stands
+_TAKES_ONLY_CACHE = {
+    "encode": ["encode", "35412", "--k", "3"],
+    "decode": ["decode", "01101", "01011", "--k", "3"],
+    "words": ["words", "--m", "2", "--parity", "even", "-n", "2"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([*argv, flag, value] for argv in _TAKES_ONLY_CACHE.values()
+          for flag, value in (("--format", "json"), ("--budget", "1000"), ("--jobs", "2"))),
+        ["count", "-q", "132", "-n", "5", "--format", "json"],
+        ["verify", "--k", "3", "-n", "4", "--format", "csv"],
+        ["scan", "--k", "3", "-n", "4", "--format", "csv"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+)
+def test_a_flag_the_subcommand_does_not_read_exits_two(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cache", str(tmp_path / "c.jsonl")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "-q", "1324", "-n", "10"],
+        ["scan", "--k", "4", "-n", "6"],
+        ["bounds", "--k", "4", "--nmax", "6"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_count_out_of_memory_exits_five(monkeypatch, tmp_path, capsys, argv):
+    def exhausted(q, n):
+        raise MemoryError
+
+    monkeypatch.setattr(kernels, "count_avoiders_dfs", exhausted)
+    assert main([*argv, "--cache", str(tmp_path / "c.jsonl")]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "out of memory" in err
+    assert "Traceback" not in err
+
+
 def test_bounds_counts_every_row_below_a_huge_k(tmp_path):
     # a pattern longer than the permutation never occurs: every row counts n!
     out = run_cli(["bounds", "--k", str(10**11), "--nmax", "2", "--format", "json"],
@@ -280,6 +329,10 @@ PERM_TEXTS = ["", "1", "21", "35412", "3612745", "1324", "1,2,3,", "10,1,2,3,4,5
               "1x24", "0", "1,1", "-1", "1,,2", ","]
 WORD_TEXTS = ["", "0", "1", "10", "10,", "01101", "01011", "1212234", "1213422",
               f"{10**20 - 1},", "1a", "-1", "1,,2"]
+
+
+#: the output formats of the subcommands that take --format
+FORMATS = {"bounds": ["plain", "json", "csv"], "verify": ["plain", "json"], "scan": ["plain", "json"]}
 
 
 @st.composite
@@ -304,11 +357,11 @@ def cli_argv(draw):
         argv = [command, "--k", value(LENGTHS), "--nmax", value(LENGTHS)]
     else:
         argv = [command, "--k", value(LENGTHS), "-n", value(LENGTHS)]
-    for flag, values in (
-        ("--format", ["plain", "json", "csv"]),
-        ("--jobs", [1, 2, 10**9]),
-        ("--budget", [-1, 0, 1000, 10**6, 10**9]),  # at most the default
-    ):
+    flags = [("--format", FORMATS[command])] if command in FORMATS else []
+    if command in ("count", "bounds", "verify", "scan"):
+        flags += [("--jobs", [1, 2, 10**9]),
+                  ("--budget", [-1, 0, 1000, 10**6, 10**9])]  # at most the default
+    for flag, values in flags:
         if draw(st.booleans()):
             argv += [flag, value(values)]
     return argv

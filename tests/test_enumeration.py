@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 import oracles
-from permcodec import cli, enumeration
+from permcodec import cli, enumeration, kernels
 from permcodec.cache import CacheStore
 from permcodec.codec import decode_avoider
 from permcodec.enumeration import (
@@ -189,6 +189,24 @@ def test_counts_run_in_one_process_for_any_jobs(monkeypatch, tmp_path, capsys, a
     assert cli.main([*argv, "--jobs", "4", "--cache", str(tmp_path / "c.jsonl")]) == 0
     assert capsys.readouterr().out
     assert _RecordingPool.sizes == []
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["count", "-q", "1324", "-n", "9"], 1),
+        (["scan", "--k", "4", "-n", "6"], 7),  # one per symmetry class
+        (["bounds", "--k", "4", "--nmax", "8"], 1),
+    ],
+)
+def test_each_pattern_costs_one_engine_call(monkeypatch, tmp_path, capsys, argv, calls):
+    # one call answers every length 0..n: scan reads n and n - 1 from it, bounds every row
+    engine = kernels.count_avoiders_dfs
+    seen = []
+    monkeypatch.setattr(kernels, "count_avoiders_dfs", lambda q, n: seen.append(q) or engine(q, n))
+    assert cli.main([*argv, "--cache", str(tmp_path / "c.jsonl")]) == 0
+    assert capsys.readouterr().out
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize("victims", [1, 12])
