@@ -187,7 +187,7 @@ def _plain(value) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # every subcommand takes --cache; only the sweeps take --budget and --jobs
+    # every subcommand takes --cache, the sweeps --budget, and count and verify --jobs
     cached = argparse.ArgumentParser(add_help=False)
     cached.add_argument(
         "--cache", metavar="PATH", default=None,
@@ -196,11 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = argparse.ArgumentParser(add_help=False, parents=[cached])
     sweep.add_argument(
         "--budget", type=int, default=DEFAULT_NODE_BUDGET, metavar="N",
-        help="refuse sweeps estimated over this many search nodes",
+        help="refuse a run estimated over this many search nodes, summed over its engine calls",
     )
-    sweep.add_argument(
+    pooled = argparse.ArgumentParser(add_help=False, parents=[sweep])
+    pooled.add_argument(
         "--jobs", type=int, default=1, metavar="J",
-        help="worker processes for verify; counts run in one (output is identical for any J)",
+        help="worker processes for verify; count runs in one (output is identical for any J)",
     )
 
     def add_format(p, *choices):
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="staircase pattern length")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("count", parents=[sweep], help="count avoiders of a pattern")
+    p = sub.add_parser("count", parents=[pooled], help="count avoiders of a pattern")
     p.add_argument("-q", "--pattern", required=True, help="pattern text")
     p.add_argument("-n", "--n", type=int, required=True, help="permutation length")
     p.set_defaults(func=cmd_count)
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, required=True, help="last row")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("verify", parents=[sweep], help="exhaustive encoder check")
+    p = sub.add_parser("verify", parents=[pooled], help="exhaustive encoder check")
     add_format(p, "json")
     p.add_argument("--k", type=int, required=True, help="staircase pattern length")
     p.add_argument("-n", "--n", type=int, required=True, help="permutation length")

@@ -39,14 +39,13 @@ from permcodec.errors import (
     PreconditionViolated,
 )
 from permcodec.perms import (
-    LR_MIN,
-    RL_MAX,
     Perm,
     StaircaseFloor,
-    extremal_mask,
     first_occurrence,
     format_permutation,
     inverse,
+    lr_minima,
+    rl_maxima,
     split_by_mask,
     staircase_pattern,
 )
@@ -95,7 +94,7 @@ def _encode(p: Perm, k: int) -> CodePair:
         offset = _offset(level, k)
         values = [p[i] for i in rest]
         if level == 3:
-            for i, is_max in zip(rest, extremal_mask(values, RL_MAX)):
+            for i, is_max in zip(rest, rl_maxima(values)):
                 letters[i] = offset + 1 if is_max else offset
         elif level % 2:
             if level - 1 > len(rest):
@@ -110,7 +109,7 @@ def _encode(p: Perm, k: int) -> CodePair:
                 letters[i] = offset
         else:
             red, rest = split_by_mask(rest, canonical_coloring(values))
-            for i, is_min in zip(red, extremal_mask([p[i] for i in red], LR_MIN)):
+            for i, is_min in zip(red, lr_minima([p[i] for i in red])):
                 letters[i] = offset + 1 if is_min else offset + 2
     w = tuple(letters)
     return CodePair(w, _by_value(p, w))

@@ -11,11 +11,12 @@ runs, the persistent count cache, the two sweep reports, and the staircase
 counts behind the bound table. One engine call answers every length 0..n of
 a pattern, so a count, each class of a scan and a whole bound table cost one.
 
-Every operation estimates its node count up front (the injective-prefix
-bound sum_j n!/(n-j)!, which ignores pruning on purpose) and raises
-ScaleRefused beyond the budget instead of hanging. Counts run in one
-process. Parallel verification shards by first entry; shards are reduced in
-first-entry order, so results are byte-identical to a single-threaded run.
+Every operation charges the budget up front, once per engine call: the
+injective-prefix bound sum_j n!/(n-j)!, which ignores pruning on purpose, so
+a scan pays it once per symmetry class. Past the budget it raises
+ScaleRefused instead of hanging. Counts run in one process. Parallel
+verification shards by first entry; shards are reduced in first-entry
+order, so results are byte-identical to a single-threaded run.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import os
 import threading
 from dataclasses import asdict, dataclass
 from itertools import permutations
-from math import factorial
 from typing import Iterator, Mapping
 
 from permcodec import kernels
@@ -87,20 +87,16 @@ def enumerate_avoiders(
     q: Perm,
     n: int,
     *,
-    first: int | None = None,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> Iterator[Perm]:
     """Yield every length-n avoider of q exactly once, in lexicographic order.
 
-    q must be a permutation of 1..k. ``first``, when given, must be an entry
-    1..n; only avoiders starting with it are yielded.
+    q must be a permutation of 1..k.
     """
     q = _require_pattern(q)
     require_length(n)
-    if first is not None and not 1 <= first <= n:
-        raise DomainError(f"first entry must lie in 1..{n}, got first={first}")
     _ensure_budget(n, budget, f"enumerating avoiders at n={n}")
-    return kernels.avoiders(q, n, first or 0)
+    return kernels.avoiders(q, n)
 
 
 def _exit_with_parent() -> None:
@@ -138,7 +134,7 @@ def count_avoiders(
     """
     q = _require_pattern(q)
     require_length(n)
-    key = format_permutation(symmetry_class(q)) if len(q) else ""
+    key = format_permutation(symmetry_class(q))
     if cache is not None:
         hit = cache.get(key, n)
         if hit is not None:
@@ -311,8 +307,8 @@ def scan_classes(
     if k > 5:
         raise ScaleRefused(f"class scans are limited to pattern lengths 3..5, got {k}")
     require_length(n)
-    _ensure_budget(n, budget, f"scanning {k}-classes at n={n}", copies=factorial(k))
-    reps = sorted({symmetry_class(tuple(q)) for q in permutations(range(1, k + 1))})
+    reps = sorted({symmetry_class(q) for q in permutations(range(1, k + 1))})
+    _ensure_budget(n, budget, f"scanning {k}-classes at n={n}", copies=len(reps))
     entries = []
     for rep in reps:
         *previous, count = kernels.count_avoiders_dfs(rep, n)

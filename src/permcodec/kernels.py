@@ -6,8 +6,9 @@ backends count with the same memoized engine (see
 occurrence search only names the witness of a failed precondition, so both
 are the pure ones on either backend.
 
-Set PERMCODEC_PURE=1 to force the pure backend; the benchmark uses that to
-time the two implementations.
+Set PERMCODEC_PURE=1 to force the pure backend; the README's recipe for
+timing the two implementations runs the benchmark once with it and once
+without.
 """
 
 import os

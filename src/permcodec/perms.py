@@ -20,10 +20,6 @@ from permcodec.words import format_word, parse_word
 
 Perm = tuple[int, ...]
 
-#: sentinel kinds for extremal_mask
-RL_MAX = "rl-max"
-LR_MIN = "lr-min"
-
 
 def validate_permutation(values: Iterable[int]) -> Perm:
     """Return ``values`` as a permutation tuple, or raise MalformedInput.
@@ -171,27 +167,33 @@ class StaircaseFloor:
                 floors[j] = x
 
 
-def extremal_mask(p: Perm, kind: str) -> tuple[bool, ...]:
-    """Mark right-to-left maxima or left-to-right minima.
+def rl_maxima(p: Sequence[int]) -> tuple[bool, ...]:
+    """Mark the right-to-left maxima.
 
-    >>> extremal_mask((3, 5, 4, 1, 2), RL_MAX)
+    >>> rl_maxima((3, 5, 4, 1, 2))
     (False, True, True, False, True)
     """
-    n = len(p)
-    mask = [False] * n
+    mask = [False] * len(p)
     best = None  # works for any distinct integers, not just 1..n
-    if kind == RL_MAX:
-        for i in range(n - 1, -1, -1):
-            if best is None or p[i] > best:
-                best = p[i]
-                mask[i] = True
-    elif kind == LR_MIN:
-        for i in range(n):
-            if best is None or p[i] < best:
-                best = p[i]
-                mask[i] = True
-    else:
-        raise DomainError(f"unknown extremal kind: {kind!r}")
+    for i in range(len(p) - 1, -1, -1):
+        if best is None or p[i] > best:
+            best = p[i]
+            mask[i] = True
+    return tuple(mask)
+
+
+def lr_minima(p: Sequence[int]) -> tuple[bool, ...]:
+    """Mark the left-to-right minima.
+
+    >>> lr_minima((3, 6, 1, 2, 7))
+    (True, False, True, False, False)
+    """
+    mask = [False] * len(p)
+    best = None  # works for any distinct integers, not just 1..n
+    for i in range(len(p)):
+        if best is None or p[i] < best:
+            best = p[i]
+            mask[i] = True
     return tuple(mask)
 
 

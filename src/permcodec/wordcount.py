@@ -31,28 +31,20 @@ from permcodec.errors import DomainError, MissingCount
 from permcodec.words import WordFamily
 
 
-class RecurrenceCounter:
-    """Memoized exact counts of valid words in one family, by length."""
-
-    def __init__(self, family: WordFamily):
-        self.family = family
-        a, b = family.recurrence
-        self._a = a
-        self._b = b
-        self._memo = [1, a]
-
-    def count(self, n: int) -> int:
-        if n < 0:
-            raise DomainError(f"word length must be non-negative, got {n}")
-        memo = self._memo
-        while len(memo) <= n:
-            memo.append(self._a * memo[-1] - self._b * memo[-2])
-        return memo[n]
+def word_counts(family: WordFamily, n: int) -> list[int]:
+    """Exact counts of the family's words of every length 0..n."""
+    if n < 0:
+        raise DomainError(f"word length must be non-negative, got {n}")
+    a, b = family.recurrence
+    counts = [1, a]
+    while len(counts) <= n:
+        counts.append(a * counts[-1] - b * counts[-2])
+    return counts[: n + 1]
 
 
 def count_words(family: WordFamily, n: int) -> int:
     """Number of length-n words in the family (exact)."""
-    return RecurrenceCounter(family).count(n)
+    return word_counts(family, n)[n]
 
 
 @dataclass(frozen=True)
@@ -97,14 +89,15 @@ def bound_table(k: int, n_max: int, counts: Mapping[int, int]) -> list[BoundReco
         raise DomainError(f"pattern length must be at least 3, got {k}")
     if n_max < 0:
         raise DomainError(f"the last row must be non-negative, got n_max={n_max}")
-    counter = RecurrenceCounter(WordFamily.for_pattern_length(k))
+    # rows 0..len(counts) cannot all have a count, so a missing one stops the loop by then
+    words = word_counts(WordFamily.for_pattern_length(k), min(n_max, len(counts)))
     cap_num = 9 * k * k
     rows = []
     for n in range(n_max + 1):
         if n not in counts:
             raise MissingCount(f"no avoider count supplied for n={n}")
         exact = counts[n]
-        word_bound = counter.count(n - 1) ** 2 if n >= 1 else None
+        word_bound = words[n - 1] ** 2 if n >= 1 else None
         rows.append(
             BoundRecord(
                 k=k,

@@ -152,14 +152,15 @@ def test_criterion_7_conjecture_evidence():
 
 
 def test_criterion_8_determinism_and_plumbing(tmp_path):
-    for args in (
-        ["verify", "--k", "4", "-n", "6", "--format", "json"],
-        ["scan", "--k", "4", "-n", "5", "--format", "json"],
-    ):
-        one = run_cli([*args, "--jobs", "1"], tmp_path)
-        eight = run_cli([*args, "--jobs", "8"], tmp_path)
-        assert one.returncode == eight.returncode == 0
-        assert one.stdout == eight.stdout
+    verify = ["verify", "--k", "4", "-n", "6", "--format", "json"]
+    scan = ["scan", "--k", "4", "-n", "5", "--format", "json"]
+    runs = [  # verify on one and on eight workers; scan twice, each with its own hash seed
+        (run_cli([*verify, "--jobs", "1"], tmp_path), run_cli([*verify, "--jobs", "8"], tmp_path)),
+        (run_cli(scan, tmp_path), run_cli(scan, tmp_path)),
+    ]
+    for first, second in runs:
+        assert first.returncode == second.returncode == 0
+        assert first.stdout == second.stdout
 
     cache = tmp_path / "cache.jsonl"
     first = run_cli(["count", "-q", "1324", "-n", "7", "--cache", str(cache)], tmp_path)

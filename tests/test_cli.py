@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import cli_env, run_cli
 from permcodec import kernels
 from permcodec.cli import main
-from permcodec.wordcount import RecurrenceCounter, closed_form, count_words
+from permcodec.wordcount import closed_form, count_words, word_counts
 from permcodec.words import WordFamily
 
 
@@ -205,15 +205,15 @@ def test_words_prints_every_count_below_the_digit_limit(capsys):
     sys.set_int_max_str_digits(limit)
     try:
         for family in (WordFamily(2, "even"), WordFamily(2, "odd"), WordFamily(4, "odd")):
-            counter = RecurrenceCounter(family)
             first = int((limit - 20) / math.log10(closed_form(family).root1))
+            counts = word_counts(family, first + 120)
             codes = set()
             for n in range(first, first + 120):
                 code = main(["words", "--m", str(family.m), "--parity", family.parity,
                              "-n", str(n)])
                 out = capsys.readouterr().out
-                if counter.count(n) < 10**limit:
-                    assert (code, out) == (0, f"{counter.count(n)}\n")
+                if counts[n] < 10**limit:
+                    assert (code, out) == (0, f"{counts[n]}\n")
                 else:
                     assert (code, out) == (5, "")
                 codes.add(code)
@@ -284,6 +284,8 @@ _TAKES_ONLY_CACHE = {
         ["count", "-q", "132", "-n", "5", "--format", "json"],
         ["verify", "--k", "3", "-n", "4", "--format", "csv"],
         ["scan", "--k", "3", "-n", "4", "--format", "csv"],
+        ["scan", "--k", "3", "-n", "4", "--jobs", "2"],
+        ["bounds", "--k", "3", "--nmax", "4", "--jobs", "2"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
 )
@@ -358,9 +360,10 @@ def cli_argv(draw):
     else:
         argv = [command, "--k", value(LENGTHS), "-n", value(LENGTHS)]
     flags = [("--format", FORMATS[command])] if command in FORMATS else []
+    if command in ("count", "verify"):
+        flags += [("--jobs", [1, 2, 10**9])]
     if command in ("count", "bounds", "verify", "scan"):
-        flags += [("--jobs", [1, 2, 10**9]),
-                  ("--budget", [-1, 0, 1000, 10**6, 10**9])]  # at most the default
+        flags += [("--budget", [-1, 0, 1000, 10**6, 10**9])]  # at most the default
     for flag, values in flags:
         if draw(st.booleans()):
             argv += [flag, value(values)]
@@ -452,9 +455,9 @@ def test_pool_workers_exit_when_the_cli_is_killed(tmp_path, method):
     "args",
     [
         ["verify", "--k", "4", "-n", "6", "--format", "json"],
-        ["scan", "--k", "4", "-n", "5"],
+        ["verify", "--k", "5", "-n", "6"],
         ["count", "-q", "1324", "-n", "7"],
-        ["bounds", "--k", "5", "--nmax", "5", "--format", "csv"],
+        ["count", "-q", "21435", "-n", "8"],
     ],
 )
 def test_output_bytes_do_not_depend_on_jobs(tmp_path, args):

@@ -1,11 +1,7 @@
-import doctest
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-import permcodec._pure
-import permcodec.codec
 from permcodec.codec import decode_avoider, encode_avoider
 from permcodec.enumeration import enumerate_avoiders
 from permcodec.errors import DomainError, MalformedInput, NotInImage, PreconditionViolated
@@ -15,11 +11,6 @@ from permcodec.words import CodePair, WordFamily, parse_word, validate_word
 
 def pair_of(w_text, wp_text):
     return CodePair(parse_word(w_text), parse_word(wp_text))
-
-
-def test_doctests():
-    assert doctest.testmod(permcodec.codec).failed == 0
-    assert doctest.testmod(permcodec._pure) == (0, 1)
 
 
 def test_worked_example_k3():

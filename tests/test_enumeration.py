@@ -36,8 +36,12 @@ def test_budget_refuses_exactly_past_the_estimate():
     assert count_avoiders(q, 6, budget=estimate) == 513
     with pytest.raises(ScaleRefused):
         count_avoiders(q, 6, budget=estimate - 1)
+    # a scan pays once per symmetry class: two at k=3, seven at k=4
+    assert scan_classes(3, 4, budget=2 * dfs_node_estimate(4)).max_count == 14
     with pytest.raises(ScaleRefused):
-        scan_classes(3, 4, budget=6 * dfs_node_estimate(4) - 1)
+        scan_classes(3, 4, budget=2 * dfs_node_estimate(4) - 1)
+    assert 7 * dfs_node_estimate(11) <= enumeration.DEFAULT_NODE_BUDGET
+    assert scan_classes(4, 11).staircase_is_max
     with pytest.raises(DomainError):
         list(enumerate_avoiders(q, -1))
 
@@ -54,14 +58,6 @@ def test_enumeration_edge_cases():
     assert list(enumerate_avoiders((2, 1, 3), 0)) == [()]
     with pytest.raises(ScaleRefused):
         list(enumerate_avoiders((2, 1, 3), 50, budget=10**6))
-    for first in (0, -1, 5, 7):
-        with pytest.raises(DomainError):
-            enumerate_avoiders((1, 3, 2, 4), 4, first=first)
-    with pytest.raises(DomainError):
-        enumerate_avoiders((2, 1, 3), 0, first=1)
-    assert list(enumerate_avoiders((1, 3, 2, 4), 4, first=4)) == [
-        p for p in oracles.brute_avoiders((1, 3, 2, 4), 4) if p[0] == 4
-    ]
 
 
 @pytest.mark.parametrize("q", [(5, 9), (1, 1), (2, 3), (1, 2**63)])
@@ -71,16 +67,6 @@ def test_patterns_must_be_permutations_of_one_to_k(q):
         count_avoiders(q, 3)
     with pytest.raises(DomainError):
         enumerate_avoiders(q, 3)
-
-
-def test_first_entry_shards_partition_the_avoiders():
-    q = staircase_pattern(4)
-    n = 6
-    whole = list(enumerate_avoiders(q, n))
-    sharded = [
-        p for first in range(1, n + 1) for p in enumerate_avoiders(q, n, first=first)
-    ]
-    assert sharded == whole
 
 
 def test_count_avoiders_with_and_without_cache(tmp_path):
@@ -177,8 +163,8 @@ def test_pool_size_is_clamped(monkeypatch, cpus, n, jobs, size):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["count", "-q", "1324", "-n", "9"],
-        ["scan", "--k", "4", "-n", "6"],
+        ["count", "-q", "1324", "-n", "9", "--jobs", "4"],
+        ["scan", "--k", "4", "-n", "6"],  # scan and bounds take no --jobs
         ["bounds", "--k", "4", "--nmax", "6"],
     ],
 )
@@ -186,7 +172,7 @@ def test_counts_run_in_one_process_for_any_jobs(monkeypatch, tmp_path, capsys, a
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(enumeration.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
-    assert cli.main([*argv, "--jobs", "4", "--cache", str(tmp_path / "c.jsonl")]) == 0
+    assert cli.main([*argv, "--cache", str(tmp_path / "c.jsonl")]) == 0
     assert capsys.readouterr().out
     assert _RecordingPool.sizes == []
 

@@ -19,24 +19,32 @@ from permcodec.enumeration import count_avoiders
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.fixture(scope="session")
-def ext(tmp_path_factory):
-    """The compiled kernel, built from ``_ext.c`` into a temporary directory.
-
-    Skips the test only where no C compiler or no ``Python.h`` is found. The
-    extension is optional, so setup.py ends a failed compile with a warning;
-    a build that leaves no module fails the test with the compiler's output.
-    """
+def skip_unless_buildable():
+    """Skip where no C compiler or no ``Python.h`` is found, as setup.py checks."""
     compiler = (sysconfig.get_config_var("CC") or "").split()[:1]
     headers = Path(sysconfig.get_paths()["include"]) / "Python.h"
     if not (compiler and shutil.which(compiler[0]) and headers.is_file()):
         pytest.skip("no C compiler or no Python.h to build the extension with")
-    out = tmp_path_factory.mktemp("ext")
-    build = subprocess.run(
+
+
+def build_ext(root, out):
+    return subprocess.run(
         [sys.executable, "setup.py", "-q", "build_ext",
          "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        cwd=root, capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.fixture(scope="session")
+def ext(tmp_path_factory):
+    """The compiled kernel, built from ``_ext.c`` into a temporary directory.
+
+    Skips the test only where no C compiler or no ``Python.h`` is found; a
+    build that leaves no module fails the test with the compiler's output.
+    """
+    skip_unless_buildable()
+    out = tmp_path_factory.mktemp("ext")
+    build = build_ext(ROOT, out)
     built = sorted((out / "lib").glob("permcodec/_ext.*"))
     if not built:
         pytest.fail(f"the C extension did not build:\n{build.stdout}{build.stderr}")
@@ -44,6 +52,18 @@ def ext(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_a_broken_extension_fails_the_build(tmp_path):
+    # the extension is optional only where it cannot compile at all
+    skip_unless_buildable()
+    source = tmp_path / "src" / "permcodec" / "_ext.c"
+    source.parent.mkdir(parents=True)
+    shutil.copy(ROOT / "setup.py", tmp_path)
+    source.write_text((ROOT / "src" / "permcodec" / "_ext.c").read_text() + "not C;\n")
+    build = build_ext(tmp_path, tmp_path)
+    assert build.returncode != 0
+    assert not list((tmp_path / "lib").glob("permcodec/_ext.*"))
 
 
 @pytest.fixture(params=["pure", "compiled"])

@@ -1,25 +1,22 @@
-import doctest
 from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-import permcodec.perms
 from permcodec.errors import DomainError, MalformedInput
 from permcodec.perms import (
-    LR_MIN,
-    RL_MAX,
     StaircaseFloor,
     avoids,
     complement,
-    extremal_mask,
     first_occurrence,
     format_permutation,
     inverse,
     is_layered,
+    lr_minima,
     parse_permutation,
     reverse,
+    rl_maxima,
     split_by_mask,
     staircase_pattern,
     symmetry_class,
@@ -35,10 +32,6 @@ def perms(max_n=9, min_n=0):
         .flatmap(lambda n: st.permutations(tuple(range(1, n + 1))))
         .map(tuple)
     )
-
-
-def test_doctests():
-    assert doctest.testmod(permcodec.perms).failed == 0
 
 
 @given(perms(max_n=14))
@@ -126,15 +119,15 @@ def test_odd_staircase_is_even_one_with_first_entry_dropped(m):
 
 
 def test_extremal_masks():
-    assert extremal_mask((3, 5, 4, 1, 2), RL_MAX) == (False, True, True, False, True)
-    assert extremal_mask((3, 6, 1, 2, 7), LR_MIN) == (True, False, True, False, False)
-    assert extremal_mask((), RL_MAX) == ()
+    assert rl_maxima((3, 5, 4, 1, 2)) == (False, True, True, False, True)
+    assert lr_minima((3, 6, 1, 2, 7)) == (True, False, True, False, False)
+    assert rl_maxima(()) == lr_minima(()) == ()
 
 
 @given(perms(min_n=1))
 def test_last_entry_is_always_a_right_to_left_maximum(p):
-    assert extremal_mask(p, RL_MAX)[-1]
-    assert extremal_mask(p, LR_MIN)[0]
+    assert rl_maxima(p)[-1]
+    assert lr_minima(p)[0]
 
 
 def test_split_by_mask():

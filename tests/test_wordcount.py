@@ -6,12 +6,12 @@ import oracles
 from permcodec.errors import DomainError, MissingCount
 from permcodec.wordcount import (
     CSV_COLUMNS,
-    RecurrenceCounter,
     bound_row_dict,
     bound_rows_csv,
     bound_table,
     closed_form,
     count_words,
+    word_counts,
 )
 from permcodec.words import WordFamily
 
@@ -26,9 +26,9 @@ def family_id(family):
 def test_counts_match_transfer_oracle(family):
     alphabet = tuple(family.alphabet)
     forbidden = family.forbidden_factors
-    for n in range(0, 9):
-        want = oracles.transfer_count_words(alphabet, forbidden, n)
-        assert count_words(family, n) == want
+    want = [oracles.transfer_count_words(alphabet, forbidden, n) for n in range(0, 9)]
+    assert word_counts(family, 8) == want  # every length from one call
+    assert count_words(family, 8) == want[8]
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=family_id)
@@ -57,7 +57,7 @@ def test_odd_m2_counts_are_powers_of_two():
 
 def test_counter_rejects_negative_length():
     with pytest.raises(DomainError):
-        RecurrenceCounter(WordFamily(2, "even")).count(-1)
+        count_words(WordFamily(2, "even"), -1)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES, ids=family_id)
@@ -100,6 +100,8 @@ def test_bound_table_frozen_rows():
 def test_bound_table_requires_every_count():
     with pytest.raises(MissingCount):
         bound_table(3, 2, {0: 1, 2: 2})
+    with pytest.raises(MissingCount):  # before counting words to the last row
+        bound_table(3, 10**9, {0: 1, 1: 1})
     with pytest.raises(DomainError):
         bound_table(2, 1, {0: 1, 1: 1})
 
