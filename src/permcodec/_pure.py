@@ -6,8 +6,9 @@ with the same algorithm; ``first_occurrence`` and ``avoiders``, the walk that
 yields every avoider, exist only here and serve both backends.
 ``permcodec.kernels`` answers a count with ``len(q) < 2`` or ``n < len(q)``
 before either engine starts. Haystacks may be any sequences of distinct
-integers; patterns are permutations of 1..k. All indices are 0-based at this
-layer (the public API converts).
+integers; patterns are permutations of 1..k. ``first_occurrence`` returns
+1-based indices, as every witness in the package is; inside the searches
+positions are 0-based.
 
 The searches assign pattern slots one at a time and prune by value windows:
 once some slots are fixed, the value for the next slot must lie strictly
@@ -77,7 +78,7 @@ def _search(
 
 
 def first_occurrence(p: Sequence[int], q: Sequence[int]):
-    """Lexicographically first index tuple of an occurrence of q, or None."""
+    """Lexicographically first 1-based index tuple of an occurrence of q, or None."""
     n, k = len(p), len(q)
     if k == 0:
         return ()
@@ -87,7 +88,7 @@ def first_occurrence(p: Sequence[int], q: Sequence[int]):
     chosen = [0] * k
     pos = [0] * k
     if _search(p, lo, hi, chosen, pos, 0, k - 1, 0, n):
-        return tuple(pos)
+        return tuple(i + 1 for i in pos)
     return None
 
 

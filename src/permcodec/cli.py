@@ -4,10 +4,14 @@ Subcommands: encode, decode, count, words, bounds, verify, scan. stdout
 carries data only (JSON, CSV, or plain key=value lines); diagnostics go to
 stderr. Output bytes depend only on the flags, never on --jobs.
 
+Each subcommand takes only the flags it reads, except that count accepts
+--jobs and verify --cache, which perfbench passes, and ignores them.
+
 Exit codes:
   0  success
   1  verification found a defect
-  2  unreadable input (permutation or word text, bad lengths, bad ranges)
+  2  unreadable input (permutation or word text, bad lengths, bad ranges),
+     or a flag the subcommand does not take
   3  precondition failed: the permutation contains the pattern
   4  the word pair is not the code of any avoider
   5  refused: the requested sweep exceeds the node budget or size limits,
@@ -37,7 +41,6 @@ from permcodec.enumeration import (
 from permcodec.errors import (
     CacheIOError,
     DomainError,
-    LengthMismatch,
     MalformedInput,
     NotInImage,
     PreconditionViolated,
@@ -187,13 +190,8 @@ def _plain(value) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # every subcommand takes --cache, the sweeps --budget, and count and verify --jobs
-    cached = argparse.ArgumentParser(add_help=False)
-    cached.add_argument(
-        "--cache", metavar="PATH", default=None,
-        help=f"count cache file (default: $PERMCODEC_CACHE or ./{DEFAULT_CACHE})",
-    )
-    sweep = argparse.ArgumentParser(add_help=False, parents=[cached])
+    # the sweeps take --budget, and count and verify --jobs and --cache
+    sweep = argparse.ArgumentParser(add_help=False)
     sweep.add_argument(
         "--budget", type=int, default=DEFAULT_NODE_BUDGET, metavar="N",
         help="refuse a run estimated over this many search nodes, summed over its engine calls",
@@ -202,6 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     pooled.add_argument(
         "--jobs", type=int, default=1, metavar="J",
         help="worker processes for verify; count runs in one (output is identical for any J)",
+    )
+    pooled.add_argument(
+        "--cache", metavar="PATH", default=None,
+        help=f"count cache file (default: $PERMCODEC_CACHE or ./{DEFAULT_CACHE}); "
+        "verify accepts it and reads nothing",
     )
 
     def add_format(p, *choices):
@@ -214,12 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", parents=[cached], help="encode an avoider")
+    p = sub.add_parser("encode", help="encode an avoider")
     p.add_argument("perm", help="permutation text (digits or comma-separated)")
     p.add_argument("--k", type=int, required=True, help="staircase pattern length")
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("decode", parents=[cached], help="decode a word pair")
+    p = sub.add_parser("decode", help="decode a word pair")
     p.add_argument("w", help="position word")
     p.add_argument("wp", help="value word")
     p.add_argument("--k", type=int, required=True, help="staircase pattern length")
@@ -230,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--n", type=int, required=True, help="permutation length")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("words", parents=[cached], help="count words in a family")
+    p = sub.add_parser("words", help="count words in a family")
     p.add_argument("--m", type=int, required=True, help="family index (m >= 2)")
     p.add_argument("--parity", choices=("odd", "even"), required=True)
     p.add_argument("-n", "--n", type=int, default=None, help="word length")
@@ -261,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MalformedInput, LengthMismatch, DomainError) as exc:
+    except (MalformedInput, DomainError) as exc:
         print(f"permcodec: {exc}", file=sys.stderr)
         return 2
     except PreconditionViolated as exc:

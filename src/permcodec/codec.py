@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
+from permcodec import kernels
 from permcodec.coloring import canonical_coloring
 from permcodec.errors import (
     DomainError,
@@ -41,13 +42,13 @@ from permcodec.errors import (
 from permcodec.perms import (
     Perm,
     StaircaseFloor,
-    first_occurrence,
     format_permutation,
     inverse,
     lr_minima,
     rl_maxima,
     split_by_mask,
     staircase_pattern,
+    validate_permutation,
 )
 from permcodec.words import CodePair, Letters, WordFamily
 
@@ -58,11 +59,9 @@ def _require_avoids(p: Perm, q: Perm) -> None:
     for v in reversed(p):
         floor.push(v)
     if floor.value:
-        witness = first_occurrence(p, q)
+        witness = kernels.first_occurrence(p, q)
         spot = ",".join(str(i) for i in witness)
-        raise PreconditionViolated(
-            f"contains {format_permutation(q)} at ({spot})", pattern=q, witness=witness
-        )
+        raise PreconditionViolated(f"contains {format_permutation(q)} at ({spot})", witness=witness)
 
 
 def _by_value(p: Perm, w: Letters) -> Letters:
@@ -118,12 +117,14 @@ def _encode(p: Perm, k: int) -> CodePair:
 def encode_avoider(p: Perm, k: int) -> CodePair:
     """Encode a permutation avoiding the length-k staircase pattern.
 
-    Raises PreconditionViolated (with a witness) when p contains the pattern.
+    Raises MalformedInput unless p is a permutation of 1..n, and
+    PreconditionViolated (with a witness) when p contains the pattern.
 
     >>> pair = encode_avoider((3, 6, 1, 2, 7, 4, 5), 4)
     >>> (pair.w, pair.wp)
     ((1, 2, 1, 2, 2, 3, 4), (1, 2, 1, 3, 4, 2, 2))
     """
+    p = validate_permutation(p)
     if k < 3:
         raise DomainError(f"pattern length must be at least 3, got {k}")
     if k <= len(p):  # a longer pattern never occurs
@@ -207,8 +208,6 @@ def decode_avoider(pair: CodePair, k: int) -> Perm:
     >>> decode_avoider(CodePair((0, 1, 1, 0, 1), (0, 1, 0, 1, 1)), 3)
     (3, 5, 4, 1, 2)
     """
-    if k < 3:
-        raise DomainError(f"pattern length must be at least 3, got {k}")
     alphabet = WordFamily.for_pattern_length(k).alphabet
     for word in (pair.w, pair.wp):
         if any(x not in alphabet for x in word):

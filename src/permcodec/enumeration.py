@@ -39,6 +39,7 @@ from permcodec.perms import (
     staircase_pattern,
     symmetry_class,
     symmetry_orbit,
+    validate_permutation,
 )
 from permcodec.words import CodePair, WordFamily, validate_word
 
@@ -48,39 +49,23 @@ DEFAULT_NODE_BUDGET = 10**9
 EXAMPLE_CAP = 10
 
 
-def _injective_prefix_totals(n: int) -> Iterator[int]:
-    """Running totals of n!/(n-j)! over j = 0..n; the last is dfs_node_estimate(n)."""
-    total, term = 0, 1
-    for j in range(n + 1):
-        total += term
-        yield total
-        term *= n - j
-
-
-def dfs_node_estimate(n: int) -> int:
-    """Upper bound on DFS nodes: the number of injective prefixes over 1..n."""
-    return max(_injective_prefix_totals(n), default=0)  # the totals only grow
-
-
 def require_length(n: int) -> None:
     """Raise DomainError for a negative permutation length."""
     if n < 0:
         raise DomainError(f"permutation length must be non-negative, got n={n}")
 
 
-def _require_pattern(q) -> Perm:
-    """Return q as a tuple, or raise DomainError unless it is a permutation of 1..k."""
-    q = tuple(q)
-    if sorted(q) != list(range(1, len(q) + 1)):
-        raise DomainError(f"pattern must be a permutation of 1..{len(q)}, got {q!r}")
-    return q
-
-
 def _ensure_budget(n: int, budget: int, what: str, copies: int = 1) -> None:
-    """Refuse copies * dfs_node_estimate(n) nodes over budget, summing only that far."""
-    for total in _injective_prefix_totals(n):
+    """Refuse copies * sum_j n!/(n-j)!, the injective prefixes over 1..n, past budget.
+
+    The sum stops where it crosses the budget, so a huge n is refused at once.
+    """
+    total, term = 0, 1
+    for j in range(n + 1):
+        total += term
         if copies * total > budget:
             raise ScaleRefused(f"{what} may need over the budget of {budget} DFS nodes")
+        term *= n - j
 
 
 def enumerate_avoiders(
@@ -91,9 +76,9 @@ def enumerate_avoiders(
 ) -> Iterator[Perm]:
     """Yield every length-n avoider of q exactly once, in lexicographic order.
 
-    q must be a permutation of 1..k.
+    q must be a permutation of 1..k; anything else raises MalformedInput.
     """
-    q = _require_pattern(q)
+    q = validate_permutation(q)
     require_length(n)
     _ensure_budget(n, budget, f"enumerating avoiders at n={n}")
     return kernels.avoiders(q, n)
@@ -130,9 +115,9 @@ def count_avoiders(
 ) -> int:
     """Number of length-n avoiders of q, consulting the cache when given.
 
-    q must be a permutation of 1..k.
+    q must be a permutation of 1..k; anything else raises MalformedInput.
     """
-    q = _require_pattern(q)
+    q = validate_permutation(q)
     require_length(n)
     key = format_permutation(symmetry_class(q))
     if cache is not None:
@@ -271,9 +256,6 @@ class ClassCount:
     count: int
     layered: bool
     growth_ratio: float | None  # observed count ratio against n-1
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ class PermcodecError(Exception):
 
 
 class MalformedInput(PermcodecError):
-    """Input text or letters do not parse into the expected object."""
+    """Input that is not the expected object: unreadable text, letters outside
+    the alphabet, a tuple that is not a permutation of 1..n, or unequal words."""
 
 
 class DomainError(PermcodecError):
@@ -16,18 +17,13 @@ class DomainError(PermcodecError):
 class PreconditionViolated(PermcodecError):
     """The permutation contains the pattern the operation requires it to avoid."""
 
-    def __init__(self, message: str, pattern=None, witness=None):
+    def __init__(self, message: str, witness=None):
         super().__init__(message)
-        self.pattern = pattern
         self.witness = witness  # 1-based index tuple, when known
 
 
 class NotInImage(PermcodecError):
     """The word pair is not the code of any avoiding permutation."""
-
-
-class LengthMismatch(PermcodecError):
-    """Word lengths do not fit the object being coded."""
 
 
 class ScaleRefused(PermcodecError):

@@ -75,14 +75,6 @@ def complement(p: Perm) -> Perm:
     return tuple(n + 1 - v for v in p)
 
 
-def first_occurrence(p: Perm, q: Perm) -> tuple[int, ...] | None:
-    """First witness of q in p (1-based), or None when p avoids q."""
-    hit = kernels.first_occurrence(p, q)
-    if hit is None:
-        return None
-    return tuple(i + 1 for i in hit)
-
-
 def avoids(p: Perm, q: Perm) -> bool:
     """True iff q does not occur in p.
 

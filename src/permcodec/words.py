@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from permcodec.errors import DomainError, LengthMismatch, MalformedInput
+from permcodec.errors import DomainError, MalformedInput
 
 Letters = tuple[int, ...]
 
@@ -117,7 +117,7 @@ class CodePair:
 
     def __post_init__(self):
         if len(self.w) != len(self.wp):
-            raise LengthMismatch(
+            raise MalformedInput(
                 f"code pair words differ in length: {len(self.w)} vs {len(self.wp)}"
             )
 

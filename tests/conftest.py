@@ -23,6 +23,11 @@ PACKAGE_ROOT = str(Path(permcodec.__file__).resolve().parent.parent)
 CLI_TIMEOUT = 120
 
 
+def with_cache(argv, path):
+    """``argv`` plus ``--cache path`` when its subcommand takes the flag (count, verify)."""
+    return [*argv, "--cache", str(path)] if argv[0] in ("count", "verify") else list(argv)
+
+
 def cli_env(env_extra=None):
     """Environment for a child ``python -m permcodec``.
 

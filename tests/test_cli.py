@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import cli_env, run_cli
+from conftest import cli_env, run_cli, with_cache
 from permcodec import kernels
 from permcodec.cli import main
 from permcodec.wordcount import closed_form, count_words, word_counts
@@ -161,7 +161,7 @@ def test_scale_refusal_exits_five(tmp_path):
 )
 def test_negative_lengths_exit_two_before_touching_the_cache(tmp_path, args):
     # a directory as the cache file: reading or appending to it would exit 6
-    out = run_cli([*args, "--cache", str(tmp_path)], tmp_path)
+    out = run_cli(with_cache(args, tmp_path), tmp_path)
     assert out.returncode == 2
     assert out.stdout == ""
     assert "non-negative" in out.stderr
@@ -263,35 +263,39 @@ TOP_DIGITS_M = 9 * 10**4299
     ],
 )
 def test_huge_parameters_end_quickly(tmp_path, args, code, stdout):
-    out = run_cli([*args, "--cache", str(tmp_path / "c.jsonl")], tmp_path, timeout=5)
+    out = run_cli(with_cache(args, tmp_path / "c.jsonl"), tmp_path, timeout=5)
     assert (out.returncode, out.stdout) == (code, stdout)
     assert "Traceback" not in out.stderr
 
 
-#: argv of the subcommands that take no flag but --cache; each exits 0 as it stands
-_TAKES_ONLY_CACHE = {
+#: argv of the subcommands that take no --cache; each exits 0 as it stands
+_NO_CACHE = {
     "encode": ["encode", "35412", "--k", "3"],
     "decode": ["decode", "01101", "01011", "--k", "3"],
     "words": ["words", "--m", "2", "--parity", "even", "-n", "2"],
+    "bounds": ["bounds", "--k", "3", "--nmax", "4"],
+    "scan": ["scan", "--k", "3", "-n", "4"],
 }
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        *([*argv, flag, value] for argv in _TAKES_ONLY_CACHE.values()
+        *([*_NO_CACHE[command], flag, value] for command in ("encode", "decode", "words")
           for flag, value in (("--format", "json"), ("--budget", "1000"), ("--jobs", "2"))),
         ["count", "-q", "132", "-n", "5", "--format", "json"],
         ["verify", "--k", "3", "-n", "4", "--format", "csv"],
-        ["scan", "--k", "3", "-n", "4", "--format", "csv"],
-        ["scan", "--k", "3", "-n", "4", "--jobs", "2"],
-        ["bounds", "--k", "3", "--nmax", "4", "--jobs", "2"],
+        [*_NO_CACHE["scan"], "--format", "csv"],
+        [*_NO_CACHE["scan"], "--jobs", "2"],
+        [*_NO_CACHE["bounds"], "--jobs", "2"],
+        *([*argv, "--cache", "c.jsonl"] for argv in _NO_CACHE.values()),
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
 )
-def test_a_flag_the_subcommand_does_not_read_exits_two(tmp_path, capsys, argv):
+def test_a_flag_the_subcommand_does_not_read_exits_two(monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # where a relative or the default cache file would go
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--cache", str(tmp_path / "c.jsonl")])
+        main(with_cache(argv, tmp_path / "c.jsonl"))
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
     assert list(tmp_path.iterdir()) == []
@@ -311,7 +315,7 @@ def test_a_count_out_of_memory_exits_five(monkeypatch, tmp_path, capsys, argv):
         raise MemoryError
 
     monkeypatch.setattr(kernels, "count_avoiders_dfs", exhausted)
-    assert main([*argv, "--cache", str(tmp_path / "c.jsonl")]) == 5
+    assert main(with_cache(argv, tmp_path / "c.jsonl")) == 5
     out, err = capsys.readouterr()
     assert out == ""
     assert "out of memory" in err
@@ -382,7 +386,7 @@ def cli_argv(draw):
 def test_every_argv_ends_in_a_documented_exit_code(tmp_path_factory, argv, cache):
     cwd = tmp_path_factory.mktemp("argv")
     path = cwd / "c.jsonl" if cache == "file" else cwd
-    out = run_cli([*argv, "--cache", str(path)], cwd, timeout=10)
+    out = run_cli(with_cache(argv, path), cwd, timeout=10)
     assert out.returncode in range(7)
     assert "Traceback" not in out.stderr
 

@@ -49,6 +49,12 @@ def test_encode_requires_avoidance_and_reports_witness():
         decode_avoider(pair_of("0", "0"), 2)
 
 
+@pytest.mark.parametrize("p", [(2, 3, 4), (1, 1, 2)])
+def test_encode_refuses_a_non_permutation(p):
+    with pytest.raises(MalformedInput):
+        encode_avoider(p, 3)
+
+
 def test_empty_permutation_round_trips():
     for k in (3, 4, 5, 6, 7):
         assert encode_avoider((), k) == CodePair((), ())

@@ -7,40 +7,39 @@ from math import factorial
 import pytest
 
 import oracles
+from conftest import with_cache
 from permcodec import cli, enumeration, kernels
 from permcodec.cache import CacheStore
 from permcodec.codec import decode_avoider
 from permcodec.enumeration import (
     ClassCount,
+    ConjectureReport,
     count_avoiders,
-    dfs_node_estimate,
     enumerate_avoiders,
     scan_classes,
     verify_injection,
 )
-from permcodec.errors import DomainError, NotInImage, ScaleRefused
+from permcodec.errors import DomainError, MalformedInput, NotInImage, ScaleRefused
 from permcodec.perms import staircase_pattern
 
 
-def test_node_estimate_counts_injective_prefixes():
-    for n in [*range(0, 8), 30]:
-        want = sum(
-            factorial(n) // factorial(n - j) for j in range(0, n + 1)
-        )
-        assert dfs_node_estimate(n) == want
+def injective_prefixes(n):
+    """The budget's estimate for length n: sum_j n!/(n-j)!."""
+    return sum(factorial(n) // factorial(n - j) for j in range(n + 1))
 
 
 def test_budget_refuses_exactly_past_the_estimate():
     q = staircase_pattern(4)
-    estimate = dfs_node_estimate(6)
+    estimate = injective_prefixes(6)
+    assert estimate == 1957
     assert count_avoiders(q, 6, budget=estimate) == 513
     with pytest.raises(ScaleRefused):
         count_avoiders(q, 6, budget=estimate - 1)
     # a scan pays once per symmetry class: two at k=3, seven at k=4
-    assert scan_classes(3, 4, budget=2 * dfs_node_estimate(4)).max_count == 14
+    assert scan_classes(3, 4, budget=2 * injective_prefixes(4)).max_count == 14
     with pytest.raises(ScaleRefused):
-        scan_classes(3, 4, budget=2 * dfs_node_estimate(4) - 1)
-    assert 7 * dfs_node_estimate(11) <= enumeration.DEFAULT_NODE_BUDGET
+        scan_classes(3, 4, budget=2 * injective_prefixes(4) - 1)
+    assert 7 * injective_prefixes(11) <= enumeration.DEFAULT_NODE_BUDGET
     assert scan_classes(4, 11).staircase_is_max
     with pytest.raises(DomainError):
         list(enumerate_avoiders(q, -1))
@@ -63,9 +62,9 @@ def test_enumeration_edge_cases():
 @pytest.mark.parametrize("q", [(5, 9), (1, 1), (2, 3), (1, 2**63)])
 def test_patterns_must_be_permutations_of_one_to_k(q):
     # the compiled count trusts its caller, so no other q may reach it
-    with pytest.raises(DomainError):
+    with pytest.raises(MalformedInput):
         count_avoiders(q, 3)
-    with pytest.raises(DomainError):
+    with pytest.raises(MalformedInput):
         enumerate_avoiders(q, 3)
 
 
@@ -172,7 +171,7 @@ def test_counts_run_in_one_process_for_any_jobs(monkeypatch, tmp_path, capsys, a
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(enumeration.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
-    assert cli.main([*argv, "--cache", str(tmp_path / "c.jsonl")]) == 0
+    assert cli.main(with_cache(argv, tmp_path / "c.jsonl")) == 0
     assert capsys.readouterr().out
     assert _RecordingPool.sizes == []
 
@@ -190,7 +189,7 @@ def test_each_pattern_costs_one_engine_call(monkeypatch, tmp_path, capsys, argv,
     engine = kernels.count_avoiders_dfs
     seen = []
     monkeypatch.setattr(kernels, "count_avoiders_dfs", lambda q, n: seen.append(q) or engine(q, n))
-    assert cli.main([*argv, "--cache", str(tmp_path / "c.jsonl")]) == 0
+    assert cli.main(with_cache(argv, tmp_path / "c.jsonl")) == 0
     assert capsys.readouterr().out
     assert len(seen) == calls
 
@@ -290,6 +289,7 @@ def test_scan_classes_refuses_out_of_range():
 
 def test_class_count_is_plain_data():
     entry = ClassCount("132", 5, True, None)
-    assert entry.to_dict() == {
+    report = ConjectureReport(3, 3, (entry,), 5, ("132",), True, True)
+    assert list(report.to_dict()["classes"]) == [{
         "representative": "132", "count": 5, "layered": True, "growth_ratio": None,
-    }
+    }]

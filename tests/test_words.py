@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from permcodec.errors import DomainError, LengthMismatch, MalformedInput
+from permcodec.errors import DomainError, MalformedInput
 from permcodec.words import (
     CodePair,
     WordFamily,
@@ -100,7 +100,7 @@ def test_parse_word_rejects(text):
 def test_code_pair():
     pair = CodePair((1, 2), (2, 1))
     assert len(pair) == 2
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(MalformedInput):
         CodePair((1,), (1, 2))
 
 
