@@ -228,6 +228,9 @@ HUGE_M = 10**300
 #: the most digits argparse reads; the top letter of the family for this m,
 #: or for this k, has one digit more
 TOP_DIGITS_M = 9 * 10**4299
+#: the code of 5,1005,1004,...,6,1,3,2,4, which contains 1324: its greedy fill
+#: is that permutation again, and decode rejects it without naming a witness
+CRAFTED_W, CRAFTED_WP = "12" + "4" * 999 + "1234", "1324" + "1" + "4" * 999 + "2"
 
 
 @pytest.mark.parametrize(
@@ -260,6 +263,8 @@ TOP_DIGITS_M = 9 * 10**4299
                      id="words-top-letter-too-long"),
         pytest.param(["decode", "0", "0", "--k", str(TOP_DIGITS_M)], 2, "",
                      id="decode-top-letter-too-long"),
+        pytest.param(["decode", CRAFTED_W, CRAFTED_WP, "--k", "4"], 4, "NOT-IN-IMAGE\n",
+                     id="decode-containing-fill-1005"),
     ],
 )
 def test_huge_parameters_end_quickly(tmp_path, args, code, stdout):

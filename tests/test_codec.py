@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from permcodec import kernels
 from permcodec.codec import decode_avoider, encode_avoider
 from permcodec.enumeration import enumerate_avoiders
 from permcodec.errors import DomainError, MalformedInput, NotInImage, PreconditionViolated
@@ -107,6 +110,32 @@ def test_decode_not_in_image_cases():
     # the greedy fill can succeed while re-encoding disagrees
     with pytest.raises(NotInImage):
         decode_avoider(pair_of("1212234", "1213424"), 4)
+
+
+def _no_search(p, q):
+    raise AssertionError("decode searched for an occurrence")
+
+
+@pytest.mark.parametrize("k,nmax", [(3, 6), (4, 5), (5, 4), (6, 4)])
+def test_decode_accepts_exactly_the_image(monkeypatch, k, nmax):
+    # every pair whose words share one letter multiset: decode returns p
+    # exactly when p avoids the staircase and encodes to the pair; from n=1 on,
+    # the fill meets an unmarked last entry, an unmarked first entry at an
+    # even level, and an odd level with too few entries
+    monkeypatch.setattr(kernels, "first_occurrence", _no_search)
+    alphabet = sorted(WordFamily.for_pattern_length(k).alphabet)
+    for n in range(nmax + 1):
+        image = {encode_avoider(p, k): p
+                 for p in oracles.brute_avoiders(staircase_pattern(k), n)}
+        for letters in itertools.combinations_with_replacement(alphabet, n):
+            words = set(itertools.permutations(letters))
+            for pair in itertools.starmap(CodePair, itertools.product(words, repeat=2)):
+                if pair in image:
+                    assert decode_avoider(pair, k) == image.pop(pair)
+                else:
+                    with pytest.raises(NotInImage):
+                        decode_avoider(pair, k)
+        assert not image  # every code's two words share one letter multiset
 
 
 def words_for(k, n):

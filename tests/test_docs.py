@@ -15,7 +15,7 @@ from permcodec.cli import build_parser
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 #: README examples that end in a non-zero exit code; every other one exits 0
-EXIT_CODES = {("encode", "1324", "--k", "4"): 3}
+EXIT_CODES = {("encode", "1324", "--k", "4"): 3, ("decode", "10", "10", "--k", "3"): 4}
 
 
 @pytest.mark.parametrize(
