@@ -1,25 +1,43 @@
-"""Codecs, exact counting and verification tools for pattern-avoiding permutations."""
+"""Codecs, exact counting and verification tools for pattern-avoiding permutations.
 
-from permcodec.codec import decode_avoider, encode_avoider
-from permcodec.coloring import canonical_coloring
-from permcodec.enumeration import (
-    count_avoiders,
-    enumerate_avoiders,
-    scan_classes,
-    verify_injection,
-)
-from permcodec.perms import (
-    avoids,
-    format_permutation,
-    is_layered,
-    parse_permutation,
-    staircase_pattern,
-    symmetry_class,
-)
-from permcodec.wordcount import bound_table, closed_form, count_words
-from permcodec.words import CodePair, WordFamily, format_word, parse_word, validate_word
+``import permcodec`` loads no submodule. Each public name is imported from
+its home module on first use (PEP 562) and then kept here, and so is each
+submodule, e.g. ``permcodec.codec`` or ``permcodec.kernels``. A short call,
+such as a cached count or ``kernel_backend()``, pays only for the modules
+it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+#: each public name and the submodule that defines it
+_HOMES = {
+    "CodePair": "words",
+    "WordFamily": "words",
+    "avoids": "perms",
+    "bound_table": "wordcount",
+    "canonical_coloring": "coloring",
+    "closed_form": "wordcount",
+    "count_avoiders": "enumeration",
+    "count_words": "wordcount",
+    "decode_avoider": "codec",
+    "encode_avoider": "codec",
+    "enumerate_avoiders": "enumeration",
+    "format_permutation": "perms",
+    "format_word": "words",
+    "is_layered": "perms",
+    "parse_permutation": "perms",
+    "parse_word": "words",
+    "scan_classes": "enumeration",
+    "staircase_pattern": "perms",
+    "symmetry_class": "perms",
+    "validate_word": "words",
+    "verify_injection": "enumeration",
+}
+
+#: submodules reachable as attributes of the package without their own import
+_SUBMODULES = frozenset({*_HOMES.values(), "_pure", "cache", "errors", "kernels"})
 
 
 def kernel_backend() -> str:
@@ -29,27 +47,18 @@ def kernel_backend() -> str:
     return kernels.BACKEND
 
 
-__all__ = [
-    "CodePair",
-    "WordFamily",
-    "avoids",
-    "bound_table",
-    "canonical_coloring",
-    "closed_form",
-    "count_avoiders",
-    "count_words",
-    "decode_avoider",
-    "encode_avoider",
-    "enumerate_avoiders",
-    "format_permutation",
-    "format_word",
-    "is_layered",
-    "kernel_backend",
-    "parse_permutation",
-    "parse_word",
-    "scan_classes",
-    "staircase_pattern",
-    "symmetry_class",
-    "validate_word",
-    "verify_injection",
-]
+__all__ = sorted([*_HOMES, "kernel_backend"])
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:  # importing a submodule binds it here
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -7,6 +7,10 @@ stderr. Output bytes depend only on the flags, never on --jobs.
 Each subcommand takes only the flags it reads, except that count accepts
 --jobs and verify --cache, which perfbench passes, and ignores them.
 
+Only words, bounds and scan's plain output read permcodec.wordcount, which
+loads fractions and decimal, so they import it inside the function and the
+other subcommands start without it.
+
 Exit codes:
   0  success
   1  verification found a defect
@@ -47,13 +51,6 @@ from permcodec.errors import (
     ScaleRefused,
 )
 from permcodec.perms import format_permutation, parse_permutation
-from permcodec.wordcount import (
-    bound_row_dict,
-    bound_rows_csv,
-    bound_table,
-    count_words,
-    format_cell,
-)
 from permcodec.words import CodePair, WordFamily, parse_word
 
 DEFAULT_CACHE = "permcodec-cache.jsonl"
@@ -105,6 +102,8 @@ def _digit_limit() -> int:
 
 
 def cmd_words(args: argparse.Namespace) -> int:
+    from permcodec.wordcount import count_words
+
     family = WordFamily(args.m, args.parity)
     limit = _digit_limit()
     if args.n is None:
@@ -128,6 +127,8 @@ def cmd_words(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    from permcodec.wordcount import bound_row_dict, bound_rows_csv, bound_table
+
     counts = staircase_counts(args.k, args.nmax, budget=args.budget)
     rows = bound_table(args.k, args.nmax, dict(enumerate(counts)))
     try:
@@ -136,8 +137,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         elif args.format == "csv":
             lines = bound_rows_csv(rows)
         else:
+            plain = _plain_cell()
             lines = [
-                " ".join(f"{key}={_plain(value)}" for key, value in bound_row_dict(r).items())
+                " ".join(f"{key}={plain(value)}" for key, value in bound_row_dict(r).items())
                 for r in rows
             ]
     except ValueError as exc:  # the interpreter's int-to-text limit
@@ -172,21 +174,25 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(json.dumps(report.to_dict()))
     else:
+        plain = _plain_cell()
         for entry in report.classes:
             ratio = "-" if entry.growth_ratio is None else f"{entry.growth_ratio:.6f}"
             _emit(
                 f"class {entry.representative} count={entry.count} "
-                f"layered={_plain(entry.layered)} ratio={ratio}"
+                f"layered={plain(entry.layered)} ratio={ratio}"
             )
         _emit(f"max_count={report.max_count}")
         _emit("max_classes=" + ",".join(report.max_classes))
-        _emit(f"layered_dominates={_plain(report.layered_dominates)}")
-        _emit(f"staircase_is_max={_plain(report.staircase_is_max)}")
+        _emit(f"layered_dominates={plain(report.layered_dominates)}")
+        _emit(f"staircase_is_max={plain(report.staircase_is_max)}")
     return 0
 
 
-def _plain(value) -> str:
-    return "-" if value is None else format_cell(value)
+def _plain_cell():
+    """The plain-format cell writer: a table cell, or "-" for a missing value."""
+    from permcodec.wordcount import format_cell
+
+    return lambda value: "-" if value is None else format_cell(value)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,6 @@ order, so results are byte-identical to a single-threaded run.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import threading
 from dataclasses import asdict, dataclass
@@ -100,6 +99,8 @@ def _map_shards(worker, shard_args: list, jobs: int) -> list:
     workers = min(jobs, len(shard_args), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(args) for args in shard_args]
+    import concurrent.futures  # only a pooled verify pays for the import
+
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, initializer=_exit_with_parent
     ) as pool:

@@ -92,6 +92,14 @@ def test_count_reads_poisoned_cache(tmp_path):
     assert (out.returncode, out.stdout) == (0, "999\n")
 
 
+def test_count_warns_of_a_malformed_cache_line_on_stderr(tmp_path):
+    cache = tmp_path / "c.jsonl"
+    cache.write_text('{"pattern":"132","n":5,"count":"42"}\n{"pattern":"1324",\n')
+    out = run_cli(["count", "-q", "1324", "-n", "6", "--cache", str(cache)], tmp_path)
+    assert (out.returncode, out.stdout) == (0, "513\n")
+    assert f"permcodec: {cache}:2: skipping malformed cache line\n" in out.stderr
+
+
 def test_cache_io_failure_exits_six(tmp_path):
     out = run_cli(["count", "-q", "132", "-n", "3", "--cache", str(tmp_path)], tmp_path)
     assert out.returncode == 6

@@ -112,7 +112,7 @@ def test_real_pool_under_each_start_method(monkeypatch, method):
         concurrent.futures.ProcessPoolExecutor,
         mp_context=multiprocessing.get_context(method),
     )
-    monkeypatch.setattr(enumeration.concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     assert verify_injection(4, 6, jobs=2) == verify_injection(4, 6)
 
@@ -151,8 +151,7 @@ class _RecordingPool:
 )
 def test_pool_size_is_clamped(monkeypatch, cpus, n, jobs, size):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    pool_module = enumeration.concurrent.futures
-    monkeypatch.setattr(pool_module, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
     report = verify_injection(4, n, jobs=jobs)
     assert report.passed and report.total == len(oracles.brute_avoiders(staircase_pattern(4), n))
@@ -169,7 +168,7 @@ def test_pool_size_is_clamped(monkeypatch, cpus, n, jobs, size):
 )
 def test_counts_run_in_one_process_for_any_jobs(monkeypatch, tmp_path, capsys, argv):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(enumeration.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
     assert cli.main(with_cache(argv, tmp_path / "c.jsonl")) == 0
     assert capsys.readouterr().out

@@ -1,0 +1,86 @@
+"""``import permcodec`` loads no submodule, and a command loads only what it runs.
+
+The load checks run in a fresh interpreter: this one has imported everything.
+A module the bare interpreter already loads (through ``site``, say) is never
+counted, since no change to permcodec could keep it out.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+import permcodec
+from conftest import cli_env
+
+#: runs ``code``, then prints as its last line the modules that ``code`` loaded
+_PROBE = """\
+import sys
+_before = set(sys.modules)
+{code}
+print(" ".join(sorted(set(sys.modules) - _before)))
+"""
+
+
+def loaded_by(code: str, *args: str) -> set[str]:
+    """Modules a fresh interpreter loads for ``code`` beyond those it starts with."""
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(code=code), *args],
+        capture_output=True, text=True, env=cli_env(), timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = loaded_by("import permcodec")
+    assert "permcodec" in loaded
+    assert not [name for name in loaded if name.startswith("permcodec.")]
+
+
+_MAIN = "from permcodec import cli\ncli.main(sys.argv[1:])"
+
+
+def test_a_count_loads_no_word_counts_and_no_pool(tmp_path):
+    loaded = loaded_by(_MAIN, "count", "-q", "1324", "-n", "6", "--cache", str(tmp_path / "c"))
+    assert "permcodec.enumeration" in loaded
+    assert not loaded & {"permcodec.wordcount", "fractions", "concurrent.futures"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "--k", "4", "--nmax", "3"], ["words", "--m", "2", "--parity", "odd", "-n", "3"]],
+    ids=["bounds", "words"],
+)
+def test_the_table_commands_load_the_word_counts(argv):
+    # the control for the count check above: the probe does see the module
+    assert "permcodec.wordcount" in loaded_by(_MAIN, *argv)
+
+
+def test_submodules_are_attributes_of_a_bare_import():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import permcodec\nprint(permcodec.kernels.BACKEND, permcodec.codec.__name__)"],
+        capture_output=True, text=True, env=cli_env(), timeout=60, check=True,
+    )
+    assert out.stdout == f"{permcodec.kernel_backend()} permcodec.codec\n"
+
+
+@pytest.mark.parametrize("name", permcodec.__all__)
+def test_each_export_is_its_home_modules_object(name):
+    value = getattr(permcodec, name)
+    assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace: dict = {}
+    exec("from permcodec import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(permcodec.__all__)
+    assert set(permcodec.__all__) <= set(dir(permcodec))
+    assert {"codec", "kernels"} <= set(dir(permcodec))
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "cli_main", "__main__"])
+def test_an_unknown_name_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(permcodec, name)
