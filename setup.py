@@ -1,7 +1,10 @@
-"""Build shim: compiles the count-DFS extension ``permcodec._ext`` from C.
+"""Build shim: compiles the kernel extension ``permcodec._ext`` from C.
 
-The package works without it (``permcodec.kernels`` falls back to the
-pure-Python walk). So the extension is optional only where no C compiler or
+The extension holds the memoized avoider count and the codec's level passes
+(encode, greedy decode fill, staircase floor); the avoider walk behind
+``verify`` stays pure Python. The package works without it
+(``permcodec.kernels`` falls back to the pure-Python twins in
+``permcodec._pure``). So the extension is optional only where no C compiler or
 no ``Python.h`` is found: there the build warns and goes on without it.
 Anywhere else a compile error fails the build.
 """

@@ -1,5 +1,7 @@
 /*
- * Compiled avoider count for permcodec.kernels.
+ * Compiled kernels for permcodec.kernels: the avoider count and the codec's
+ * level passes. The avoider walk behind verify is not compiled; it stays in
+ * permcodec._pure on either backend.
  *
  * count_avoiders_dfs(q, n) returns the avoider counts of q for every length
  * 0..n, with the memoized engine of permcodec._pure.count_avoiders_dfs (see
@@ -422,14 +424,496 @@ done:
     return result;
 }
 
+/* ---------------------------------------------------------------------------
+ * The codec's level passes: encode_levels, decode_fill and staircase_floor,
+ * ported one for one from their twins in permcodec._pure (see those for the
+ * algorithms), so that codes and decode outcomes are bit-exact. The caller,
+ * permcodec.codec, has checked that p is a permutation of 1..n and that every
+ * letter is in the alphabet for k; these passes check only what keeps them
+ * in bounds. Entries and letters are C integers: permcodec.kernels lowers a
+ * huge k for encode_levels and sends a decode with k past MAX_K to the pure
+ * twin, so every letter level and offset below fits 64 bits.
+ */
+
+#define MAX_K ((long long)1 << 62)
+#define INF PY_SSIZE_T_MAX
+
+/* Read a sequence of integers in 1..top; set an exception and return 0 otherwise. */
+static int
+read_entries(PyObject *seq, Py_ssize_t *out, Py_ssize_t top)
+{
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+        out[i] = PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(seq, i));
+        if (out[i] == -1 && PyErr_Occurred())
+            return 0;
+        if (out[i] < 1 || out[i] > top) {
+            PyErr_Format(PyExc_ValueError, "entries must lie in 1..%zd", top);
+            return 0;
+        }
+    }
+    return 1;
+}
+
+static PyObject *
+tuple_of(const Py_ssize_t *values, Py_ssize_t n)
+{
+    PyObject *t = PyTuple_New(n);
+    for (Py_ssize_t i = 0; t && i < n; i++) {
+        PyObject *v = PyLong_FromSsize_t(values[i]);
+        if (!v)
+            Py_CLEAR(t);
+        else
+            PyTuple_SET_ITEM(t, i, v);
+    }
+    return t;
+}
+
+/* The staircase floor of permcodec.perms.StaircaseFloor, over entries pushed right to left. */
+typedef struct {
+    Py_ssize_t b, above;  /* an entry of a pair layer, and the floor of the layers after it */
+} Tail;
+
+typedef struct {
+    Py_ssize_t layers, first_pair;
+    Py_ssize_t *floors;  /* floors[0..layers]; floors[layers] is INF */
+    Py_ssize_t *len, *cap;
+    Tail **tails;        /* per layer; only the pair layers fill theirs */
+} Floor;
+
+static void
+floor_free(Floor *f)
+{
+    for (Py_ssize_t j = 0; f->tails && j < f->layers; j++)
+        PyMem_Free(f->tails[j]);
+    PyMem_Free(f->tails);
+    PyMem_Free(f->floors);
+}
+
+/* A floor for the length-k staircase, k >= 3; 0 with MemoryError set on failure,
+ * when the caller still frees it. */
+static int
+floor_init(Floor *f, Py_ssize_t k)
+{
+    f->layers = k / 2 + 1;
+    f->first_pair = 1 - k % 2;  /* an even k opens with a singleton layer */
+    f->floors = PyMem_Calloc(3 * f->layers + 1, sizeof(Py_ssize_t));
+    f->tails = PyMem_Calloc(f->layers, sizeof(Tail *));
+    if (!f->floors || !f->tails) {
+        PyErr_NoMemory();
+        return 0;
+    }
+    f->floors[f->layers] = INF;  /* any entry may open the top layer */
+    f->len = f->floors + f->layers + 1;
+    f->cap = f->len + f->layers;
+    return 1;
+}
+
+/* Add x left of every entry pushed so far; 0 with MemoryError set on failure. */
+static int
+floor_push(Floor *f, Py_ssize_t x)
+{
+    Py_ssize_t *floors = f->floors;
+    for (Py_ssize_t j = 0; j < f->layers; j++) {
+        int fits = x < floors[j + 1];  /* x may open layer j */
+        if (j < f->first_pair || j == f->layers - 1) {
+            if (fits && x > floors[j])
+                floors[j] = x;
+            continue;
+        }
+        Py_ssize_t best = floors[j];
+        for (Py_ssize_t t = f->len[j]; t-- > 0 && f->tails[j][t].above > x;)
+            if (best < f->tails[j][t].b && f->tails[j][t].b < x)
+                best = f->tails[j][t].b;
+        floors[j] = best;
+        if (!fits)
+            continue;
+        if (f->len[j] == f->cap[j]) {
+            Py_ssize_t cap = f->cap[j] ? 2 * f->cap[j] : 16;
+            Tail *tails = PyMem_Realloc(f->tails[j], cap * sizeof(Tail));
+            if (!tails) {
+                PyErr_NoMemory();
+                return 0;
+            }
+            f->tails[j] = tails;
+            f->cap[j] = cap;
+        }
+        f->tails[j][f->len[j]++] = (Tail){x, floors[j + 1]};
+    }
+    return 1;
+}
+
+/* The level and letter offset of permcodec._pure._level and _offset. */
+static long long
+level_of(long long letter, long long k)
+{
+    long long level = 2 * (k / 2 - letter / 3) + (letter % 3 == 0);
+    return level > 3 ? level : 3;
+}
+
+static long long
+offset_of(long long level, long long k)
+{
+    return 3 * (k / 2 - level / 2);
+}
+
+static PyObject *
+staircase_floor(PyObject *self, PyObject *args)
+{
+    PyObject *p_obj, *seq, *result = NULL;
+    long long k;
+    if (!PyArg_ParseTuple(args, "OL:staircase_floor", &p_obj, &k))
+        return NULL;
+    if (k < 3)
+        return PyErr_Format(PyExc_ValueError, "staircase patterns start at length 3, got %lld", k);
+    if (!(seq = PySequence_Fast(p_obj, "p must be a sequence")))
+        return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    Py_ssize_t *p = PyMem_Malloc((n + 1) * sizeof(Py_ssize_t));
+    Floor f = {0};
+    if (!p) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (!read_entries(seq, p, INF - 1))
+        goto done;
+    if (k > n) {  /* a longer pattern never occurs */
+        result = PyLong_FromLong(0);
+        goto done;
+    }
+    if (!floor_init(&f, (Py_ssize_t)k))
+        goto done;
+    for (Py_ssize_t i = n; i-- > 0;)
+        if (!floor_push(&f, p[i]))
+            goto done;
+    result = PyLong_FromSsize_t(f.floors[0]);
+done:
+    floor_free(&f);
+    PyMem_Free(p);
+    Py_DECREF(seq);
+    return result;
+}
+
+/* The red/blue mask of permcodec.coloring.canonical_coloring over values[0..count). */
+static void
+color(const Py_ssize_t *values, Py_ssize_t count, char *red, Py_ssize_t *lo, Py_ssize_t *hi)
+{
+    Py_ssize_t spans = 0, least_red = INF, min_blue = INF;
+    for (Py_ssize_t x = 0; x < count; x++) {
+        Py_ssize_t v = values[x];
+        int blue = v > min_blue;
+        for (Py_ssize_t s = 0; !blue && s < spans; s++)
+            blue = lo[s] < v && v < hi[s];
+        red[x] = !blue;
+        if (blue) {
+            min_blue = v < min_blue ? v : min_blue;
+        } else if (v < least_red) {
+            least_red = v;
+        } else {
+            lo[spans] = least_red;
+            hi[spans++] = v;
+        }
+    }
+}
+
+static PyObject *
+encode_levels(PyObject *self, PyObject *args)
+{
+    PyObject *p_obj, *seq, *w = NULL, *wp = NULL, *result = NULL;
+    long long k;
+    if (!PyArg_ParseTuple(args, "OL:encode_levels", &p_obj, &k))
+        return NULL;
+    if (!(seq = PySequence_Fast(p_obj, "p must be a sequence")))
+        return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    /* p, the letters by position and by value, the unlettered positions, their values, spans */
+    Py_ssize_t *p = PyMem_Malloc((7 * n + 1) * sizeof(Py_ssize_t));
+    char *mask = PyMem_Malloc(n + 1);
+    Floor f = {0};
+    if (!p || !mask) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Py_ssize_t *letters = p + n, *by_value = letters + n, *rest = by_value + n;
+    Py_ssize_t *values = rest + n, *lo = values + n, *hi = lo + n;
+    if (!read_entries(seq, p, n))
+        goto done;
+    Py_ssize_t count = n;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        rest[i] = i;
+        letters[i] = by_value[i] = 0;
+    }
+    /* outside in; each even level letters at least one entry, so at most 2n + 2 levels run */
+    for (long long level = k; level > 2 && count; level--) {
+        Py_ssize_t offset = (Py_ssize_t)offset_of(level, k), kept = 0;
+        for (Py_ssize_t x = 0; x < count; x++)
+            values[x] = p[rest[x]];
+        if (level == 3) {  /* right-to-left maxima get offset + 1 */
+            Py_ssize_t best = 0;
+            for (Py_ssize_t x = count; x-- > 0;) {
+                letters[rest[x]] = offset + (values[x] > best);
+                best = values[x] > best ? values[x] : best;
+            }
+        } else if (level % 2) {  /* entries below the floor of those after them get offset */
+            if (level - 1 > count)
+                continue;  /* no entry starts a marker longer than the rest */
+            if (!floor_init(&f, (Py_ssize_t)level - 2))
+                goto done;
+            for (Py_ssize_t x = count; x-- > 0;) {
+                mask[x] = values[x] < f.floors[0];
+                if (!floor_push(&f, values[x]))
+                    goto done;
+            }
+            floor_free(&f);
+            f = (Floor){0};
+            for (Py_ssize_t x = 0; x < count; x++) {
+                if (mask[x])
+                    letters[rest[x]] = offset;
+                else
+                    rest[kept++] = rest[x];
+            }
+            count = kept;
+        } else {  /* red entries: offset + 1 on their left-to-right minima, offset + 2 elsewhere */
+            Py_ssize_t best = INF;
+            color(values, count, mask, lo, hi);
+            for (Py_ssize_t x = 0; x < count; x++) {
+                if (!mask[x]) {
+                    rest[kept++] = rest[x];
+                    continue;
+                }
+                letters[rest[x]] = offset + 1 + (values[x] >= best);
+                best = values[x] < best ? values[x] : best;
+            }
+            count = kept;
+        }
+    }
+    for (Py_ssize_t i = 0; i < n; i++)
+        by_value[p[i] - 1] = letters[i];
+    if ((w = tuple_of(letters, n)) && (wp = tuple_of(by_value, n)))
+        result = PyTuple_Pack(2, w, wp);
+done:
+    floor_free(&f);
+    Py_XDECREF(w);
+    Py_XDECREF(wp);
+    PyMem_Free(p);
+    PyMem_Free(mask);
+    Py_DECREF(seq);
+    return result;
+}
+
+/* Raise permcodec.errors.NotInImage(message). */
+static void
+not_in_image(const char *message)
+{
+    PyObject *errors = PyImport_ImportModule("permcodec.errors");
+    if (!errors)
+        return;
+    PyObject *cls = PyObject_GetAttrString(errors, "NotInImage");
+    Py_DECREF(errors);
+    if (cls) {
+        PyErr_SetString(cls, message);
+        Py_DECREF(cls);
+    }
+}
+
+static int
+compare_levels(const void *a, const void *b)
+{
+    long long x = *(const long long *)a, y = *(const long long *)b;
+    return (x > y) - (x < y);
+}
+
+/* The first index of sorted[0..count) whose value is above x (right) or at least x (left). */
+static Py_ssize_t
+bisect(const Py_ssize_t *sorted, Py_ssize_t count, Py_ssize_t x, int right)
+{
+    Py_ssize_t low = 0, high = count;
+    while (low < high) {
+        Py_ssize_t mid = low + (high - low) / 2;
+        if (sorted[mid] < x || (right && sorted[mid] == x))
+            low = mid + 1;
+        else
+            high = mid;
+    }
+    return low;
+}
+
+static Py_ssize_t
+pop(Py_ssize_t *sorted, Py_ssize_t *count, Py_ssize_t at)
+{
+    Py_ssize_t v = sorted[at];
+    memmove(sorted + at, sorted + at + 1, (--*count - at) * sizeof(Py_ssize_t));
+    return v;
+}
+
+/* Read n letters, each at least 0; set an exception and return 0 otherwise. */
+static int
+read_letters(PyObject *seq, long long *out)
+{
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+        out[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, i));
+        if (out[i] == -1 && PyErr_Occurred())
+            return 0;
+        if (out[i] < 0) {
+            PyErr_SetString(PyExc_ValueError, "letters must not be negative");
+            return 0;
+        }
+    }
+    return 1;
+}
+
+static PyObject *
+decode_fill(PyObject *self, PyObject *args)
+{
+    PyObject *w_obj, *wp_obj, *w_seq = NULL, *wp_seq = NULL, *result = NULL;
+    long long k, *w = NULL;
+    Py_ssize_t *out = NULL;
+    Floor f = {0};
+    if (!PyArg_ParseTuple(args, "OOL:decode_fill", &w_obj, &wp_obj, &k))
+        return NULL;
+    if (k < 3 || k > MAX_K)
+        return PyErr_Format(PyExc_OverflowError,
+                            "the compiled decode takes k in 3..2**62, got %lld", k);
+    if (!(w_seq = PySequence_Fast(w_obj, "w must be a sequence"))
+        || !(wp_seq = PySequence_Fast(wp_obj, "wp must be a sequence")))
+        goto done;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(w_seq);
+    if (PySequence_Fast_GET_SIZE(wp_seq) != n) {
+        PyErr_SetString(PyExc_ValueError, "the two words must have one length");
+        goto done;
+    }
+    /* the letters by position and by value, and the levels */
+    w = PyMem_Malloc((3 * n + 1) * sizeof(long long));
+    /* the output, one level's slots, its marked values and its other values */
+    out = PyMem_Malloc((4 * n + 1) * sizeof(Py_ssize_t));
+    if (!w || !out) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    long long *wp = w + n, *levels = wp + n;
+    Py_ssize_t *slots = out + n, *marked = slots + n, *pool = marked + n, distinct = 0;
+    if (!read_letters(w_seq, w) || !read_letters(wp_seq, wp))
+        goto done;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        out[i] = 0;
+        levels[i] = level_of(w[i], k);
+    }
+    qsort(levels, n, sizeof(long long), compare_levels);
+    for (Py_ssize_t i = 0; i < n; i++)  /* a level without letters fills nothing */
+        if (!distinct || levels[i] != levels[distinct - 1])
+            levels[distinct++] = levels[i];
+    for (Py_ssize_t d = 0; d < distinct; d++) {
+        long long level = levels[d], offset = offset_of(level, k);
+        Py_ssize_t count = 0, marks = 0, unmarked = 0, at;
+        if (level == 3) {
+            /* rl-max greedy: right to left, the marked values rise, and each
+             * other slot takes the largest value below the next maximum */
+            Py_ssize_t limit = 0, next = 0;
+            for (Py_ssize_t i = 0; i < n; i++)
+                if (w[i] >= offset)
+                    slots[count++] = i;
+            for (Py_ssize_t v = 1; v <= n; v++) {
+                if (wp[v - 1] == offset + 1)
+                    marked[marks++] = v;
+                else if (wp[v - 1] == offset)
+                    pool[unmarked++] = v;
+            }
+            for (Py_ssize_t s = count; s-- > 0;) {
+                Py_ssize_t i = slots[s];
+                if (w[i] != offset) {
+                    if (next == marks)
+                        goto unequal;
+                    limit = out[i] = marked[next++];
+                    continue;
+                }
+                if ((at = bisect(pool, unmarked, limit, 0) - 1) < 0) {
+                    not_in_image("no unmarked value fits below the next maximum");
+                    goto done;
+                }
+                out[i] = pop(pool, &unmarked, at);
+            }
+        } else if (level % 2 == 0) {
+            /* lr-min greedy: left to right, the marked values fall, and each
+             * other slot takes the smallest value above the latest minimum */
+            Py_ssize_t minimum = 0;
+            for (Py_ssize_t i = 0; i < n; i++)
+                if (offset < w[i] && w[i] <= offset + 2)
+                    slots[count++] = i;
+            for (Py_ssize_t v = 1; v <= n; v++) {
+                if (wp[v - 1] == offset + 1)
+                    marked[marks++] = v;
+                else if (wp[v - 1] == offset + 2)
+                    pool[unmarked++] = v;
+            }
+            for (Py_ssize_t s = 0; s < count; s++) {
+                Py_ssize_t i = slots[s];
+                if (w[i] != offset + 2) {
+                    if (!marks)
+                        goto unequal;
+                    minimum = out[i] = marked[--marks];
+                    continue;
+                }
+                if ((at = bisect(pool, unmarked, minimum, 1)) >= unmarked) {
+                    not_in_image("no unmarked value stays above the running minimum");
+                    goto done;
+                }
+                out[i] = pop(pool, &unmarked, at);
+            }
+        } else {
+            /* right to left, the largest free value below the floor of the slots after it */
+            for (Py_ssize_t i = 0; i < n; i++)
+                if (w[i] >= offset)
+                    slots[count++] = i;
+            if (level - 1 > count) {  /* also keeps a huge level from building its floor */
+                not_in_image("too few entries to start the required pattern");
+                goto done;
+            }
+            for (Py_ssize_t v = 1; v <= n; v++)
+                if (wp[v - 1] == offset)
+                    pool[unmarked++] = v;
+            if (!floor_init(&f, (Py_ssize_t)level - 2))
+                goto done;
+            for (Py_ssize_t s = count; s-- > 0;) {
+                Py_ssize_t i = slots[s];
+                if (w[i] == offset) {
+                    if ((at = bisect(pool, unmarked, f.floors[0], 0) - 1) < 0) {
+                        not_in_image("no remaining value starts the required pattern here");
+                        goto done;
+                    }
+                    out[i] = pop(pool, &unmarked, at);
+                }
+                if (!floor_push(&f, out[i]))
+                    goto done;
+            }
+            floor_free(&f);
+            f = (Floor){0};
+        }
+    }
+    result = tuple_of(out, n);
+    goto done;
+unequal:  /* permcodec.codec checks the multisets first */
+    PyErr_SetString(PyExc_ValueError, "the two words must share one letter multiset");
+done:
+    floor_free(&f);
+    PyMem_Free(w);
+    PyMem_Free(out);
+    Py_XDECREF(w_seq);
+    Py_XDECREF(wp_seq);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"count_avoiders_dfs", (PyCFunction)(void (*)(void))count_avoiders_dfs,
      METH_VARARGS | METH_KEYWORDS, "Avoider counts of q for the lengths 0..n."},
+    {"encode_levels", encode_levels, METH_VARARGS, "The code (w, wp) of an avoider p."},
+    {"decode_fill", decode_fill, METH_VARARGS, "The greedy fill of the code (w, wp)."},
+    {"staircase_floor", staircase_floor, METH_VARARGS,
+     "The floor of the length-k staircase over p; 0 iff p avoids it."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_ext", "Compiled avoider count for permcodec.kernels.", -1, methods,
+    PyModuleDef_HEAD_INIT, "_ext", "Compiled avoider count and codec passes for permcodec.kernels.",
+    -1, methods,
 };
 
 PyMODINIT_FUNC

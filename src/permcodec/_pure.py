@@ -1,12 +1,13 @@
-"""Pure-Python pattern-search kernels.
+"""Pure-Python kernels: the pattern searches and the codec's level passes.
 
-Reference implementation of the search routines. ``permcodec._ext``
+Reference implementation of the inner loops. ``permcodec._ext``
 (``_ext.c``) compiles ``count_avoiders_dfs``, the memoized count engine,
-with the same algorithm; ``first_occurrence`` and ``avoiders``, the walk that
-yields every avoider, exist only here and serve both backends.
-``permcodec.kernels`` answers a count with ``len(q) < 2`` or ``n < len(q)``
-before either engine starts. Haystacks may be any sequences of distinct
-integers; patterns are permutations of 1..k. ``first_occurrence`` returns
+and the codec's three level passes, ``encode_levels``, ``decode_fill`` and
+``staircase_floor``, with the same algorithms; ``first_occurrence`` and
+``avoiders``, the walk that yields every avoider, exist only here and serve
+both backends. ``permcodec.kernels`` answers a count with ``len(q) < 2`` or
+``n < len(q)`` before either engine starts. Haystacks may be any sequences
+of distinct integers; patterns are permutations of 1..k. ``first_occurrence`` returns
 1-based indices, as every witness in the package is; inside the searches
 positions are 0-based.
 
@@ -21,7 +22,12 @@ between unused values instead of on values.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from typing import Iterator, Sequence
+
+from permcodec.coloring import canonical_coloring
+from permcodec.errors import NotInImage
+from permcodec.perms import StaircaseFloor, lr_minima, rl_maxima, split_by_mask
 
 BACKEND = "pure"
 
@@ -234,3 +240,134 @@ def count_avoiders_dfs(q: Sequence[int], n: int) -> list[int]:
         return total
 
     return [count(((),) * (k - 1), m) for m in range(n + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the codec's level passes (see permcodec.codec for the code they build)
+
+
+def staircase_floor(p: Sequence[int], k: int) -> int:
+    """The floor of the length-k staircase over p, k >= 3: 0 exactly when p avoids it."""
+    if k > len(p):
+        return 0  # a longer pattern never occurs
+    floor = StaircaseFloor(k)
+    for v in reversed(p):
+        floor.push(v)
+    return floor.value
+
+
+def _offset(level: int, k: int) -> int:
+    """The letter offset of a level in the code for k: 3 per even level above it.
+
+    An even level uses the letters offset+1 (marked) and offset+2; an odd
+    level >= 5 uses the letter offset; the base level 3 uses offset+1
+    (marked) and offset.
+    """
+    return 3 * (k // 2 - level // 2)
+
+
+def _level(letter: int, k: int) -> int:
+    """The level whose letters include ``letter`` (the inverse of _offset)."""
+    return max(3, 2 * (k // 2 - letter // 3) + (letter % 3 == 0))
+
+
+def encode_levels(p: Sequence[int], k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The code (w, wp) of p, an avoider of the length-k staircase, read off level by level.
+
+    >>> encode_levels((3, 6, 1, 2, 7, 4, 5), 4)
+    ((1, 2, 1, 2, 2, 3, 4), (1, 2, 1, 3, 4, 2, 2))
+    """
+    letters = [0] * len(p)
+    rest: tuple[int, ...] = tuple(range(len(p)))  # positions not lettered yet
+    for level in range(k, 2, -1):  # outside in; each even level letters >= 1 entry
+        if not rest:
+            break
+        offset = _offset(level, k)
+        values = [p[i] for i in rest]
+        if level == 3:
+            for i, is_max in zip(rest, rl_maxima(values)):
+                letters[i] = offset + 1 if is_max else offset
+        elif level % 2:
+            if level - 1 > len(rest):
+                continue  # no entry starts a marker longer than the rest
+            floor = StaircaseFloor(level - 2)
+            mask = []
+            for v in reversed(values):
+                mask.append(v < floor.value)
+                floor.push(v)
+            starts, rest = split_by_mask(rest, mask[::-1])
+            for i in starts:
+                letters[i] = offset
+        else:
+            red, rest = split_by_mask(rest, canonical_coloring(values))
+            for i, is_min in zip(red, lr_minima([p[i] for i in red])):
+                letters[i] = offset + 1 if is_min else offset + 2
+    by_value = [0] * len(p)
+    for v, letter in zip(p, letters):
+        by_value[v - 1] = letter
+    return tuple(letters), tuple(by_value)
+
+
+def decode_fill(w: Sequence[int], wp: Sequence[int], k: int) -> tuple[int, ...]:
+    """Greedy inverse of encode_levels, one level at a time from the base level out.
+
+    Each level fills its own positions of one output list with its own
+    values, both read off its letters, so the deeper levels are final when
+    an odd level reads them. Only relative order counts, so working on the
+    original values makes the same choices as decoding each level on its
+    own. The two words must share one letter multiset (the codec checks
+    it, and every code from encode_levels has it): then each level has as
+    many positions as values, and as many marked positions as marked values.
+    Raises NotInImage where the fill gets stuck.
+
+    >>> decode_fill((1, 2, 1, 2, 2, 3, 4), (1, 2, 1, 3, 4, 2, 2), 4)
+    (3, 6, 1, 2, 7, 4, 5)
+    """
+    out = [0] * len(w)
+    for level in sorted({_level(x, k) for x in w}):  # a level without letters fills nothing
+        offset = _offset(level, k)
+        if level == 3:
+            # rl-max greedy: right to left, the marked values rise, and each
+            # other slot takes the largest value below the next maximum
+            slots = [i for i, x in enumerate(w) if x >= offset]
+            maxima = iter([v for v, x in enumerate(wp, 1) if x == offset + 1])
+            rest = [v for v, x in enumerate(wp, 1) if x == offset]
+            limit = 0
+            for i in reversed(slots):
+                if w[i] != offset:
+                    limit = out[i] = next(maxima)
+                    continue
+                at = bisect_left(rest, limit) - 1
+                if at < 0:
+                    raise NotInImage("no unmarked value fits below the next maximum")
+                out[i] = rest.pop(at)
+        elif level % 2 == 0:
+            # lr-min greedy: left to right, the marked values fall, and each
+            # other slot takes the smallest value above the latest minimum
+            slots = [i for i, x in enumerate(w) if offset < x <= offset + 2]
+            minima = [v for v, x in enumerate(wp, 1) if x == offset + 1]
+            rest = [v for v, x in enumerate(wp, 1) if x == offset + 2]
+            floor = 0
+            for i in slots:
+                if w[i] != offset + 2:
+                    floor = out[i] = minima.pop()
+                    continue
+                at = bisect_right(rest, floor)
+                if at >= len(rest):
+                    raise NotInImage("no unmarked value stays above the running minimum")
+                out[i] = rest.pop(at)
+        else:
+            # right to left, the largest free value below the floor of the slots after it
+            slots = [i for i, x in enumerate(w) if x >= offset]
+            if level - 1 > len(slots):  # also keeps a huge level from building its floor
+                raise NotInImage("too few entries to start the required pattern")
+            floor = StaircaseFloor(level - 2)
+            inserted = [v for v, x in enumerate(wp, 1) if x == offset]
+            for i in reversed(slots):
+                if w[i] == offset:
+                    at = bisect_left(inserted, floor.value) - 1
+                    if at < 0:
+                        raise NotInImage("no remaining value starts the required pattern here")
+                    out[i] = inserted.pop(at)
+                floor.push(out[i])
+    return tuple(out)

@@ -1,8 +1,11 @@
-"""Search-kernel selection: the compiled avoider count when built, pure Python otherwise.
+"""Kernel selection: the compiled count and codec passes when built, pure Python otherwise.
 
-Only counting is compiled (``permcodec._ext``, built from ``_ext.c``); both
-backends count with the same memoized engine (see
-``_pure.count_avoiders_dfs``). The avoider walk yields Python tuples, and the
+``permcodec._ext``, built from ``_ext.c``, compiles the memoized count
+engine (see ``_pure.count_avoiders_dfs``) and the codec's three level
+passes: the per-level encode, the greedy decode fill and the staircase
+floor (see ``_pure.encode_levels``, ``decode_fill`` and ``staircase_floor``).
+Each backend runs the same algorithms, so counts and codes agree bit for
+bit. The avoider walk behind ``verify`` yields Python tuples, and the
 occurrence search only names the witness of a failed precondition, so both
 are the pure ones on either backend.
 
@@ -30,6 +33,8 @@ avoiders = _pure.avoiders
 
 #: the compiled engine keeps a 64-bit total and refuses n past 20 (20! < 2**63 < 21!)
 _COMPILED_MAX_N = 20
+#: the compiled decode takes k up to 2**62, so its levels and letters fit 64 bits
+_COMPILED_MAX_K = 2**62
 
 
 def count_avoiders_dfs(q, n: int) -> list[int]:
@@ -41,3 +46,22 @@ def count_avoiders_dfs(q, n: int) -> list[int]:
     if n > _COMPILED_MAX_N:
         return _pure.count_avoiders_dfs(q, n)
     return _impl.count_avoiders_dfs(q, n)
+
+
+def encode_levels(p, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The code (w, wp) of p, a permutation of 1..n avoiding the length-k staircase, k >= 3."""
+    # past 2n + 3 no level reaches 3 and no odd level letters an entry, so
+    # the code is the same for every larger k of the same parity
+    return _impl.encode_levels(p, min(k, 2 * len(p) + 4 + k % 2))
+
+
+def decode_fill(w, wp, k: int) -> tuple[int, ...]:
+    """The greedy fill of (w, wp): words over the alphabet for k with one letter multiset."""
+    if k > _COMPILED_MAX_K:
+        return _pure.decode_fill(w, wp, k)
+    return _impl.decode_fill(w, wp, k)
+
+
+def staircase_floor(p, k: int) -> int:
+    """The floor of the length-k staircase over p, a permutation of 1..n with n >= k >= 3."""
+    return _impl.staircase_floor(p, k)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from permcodec import kernels
 from permcodec.errors import DomainError, MalformedInput
 from permcodec.words import format_word, parse_word
 
@@ -83,6 +82,8 @@ def avoids(p: Perm, q: Perm) -> bool:
     >>> avoids((3, 6, 1, 2, 7, 4, 5), (1, 3, 2, 4))
     True
     """
+    from permcodec import kernels  # the kernels' pure twins build on this module
+
     return kernels.first_occurrence(p, q) is None
 
 

@@ -144,3 +144,50 @@ def encode_length4(p):
     w = tuple(letter[v] for v in p)
     wp = tuple(letter[v] for v in range(1, len(p) + 1))
     return w, wp
+
+
+def staircase(k):
+    """The length-k staircase 1 32 54 ... (even k) or 21 43 ... (odd k), ending in its maximum."""
+    layers = [(1,)] if k % 2 == 0 else []
+    while sum(map(len, layers)) < k - 1:
+        top = sum(map(len, layers))
+        layers.append((top + 2, top + 1))
+    return tuple(v for layer in layers for v in layer) + (k,)
+
+
+def ends_an_occurrence(p, q, e):
+    """Whether q occurs in p with its last entry at index e (backtracking, right to left)."""
+    k = len(q)
+    chosen = [None] * k
+
+    def place(slot, stop):
+        if slot < 0:
+            return True
+        for i in range(stop - 1, slot - 2, -1):
+            if i < 0:
+                break
+            chosen[slot] = p[i]
+            # the new entry must sit in q's order against every entry placed after it
+            if all((q[slot] < q[t]) == (p[i] < chosen[t]) for t in range(slot + 1, k)):
+                if place(slot - 1, i):
+                    return True
+        return False
+
+    chosen[k - 1] = p[e]
+    return place(k - 2, e)
+
+
+def random_staircase_avoider(rng, k, n):
+    """A length-n avoider of the length-k staircase, by inserting 1..n in turn.
+
+    The staircase ends in its maximum, so only the entry inserted last can
+    complete it, and only if the entries left of it hold the staircase
+    without its top. Each new maximum goes to a random index no further
+    right than the first entry that completes that shorter pattern.
+    """
+    head = staircase(k)[:-1]
+    p = []
+    for v in range(1, n + 1):
+        bound = next((e for e in range(len(p)) if ends_an_occurrence(p, head, e)), len(p))
+        p.insert(rng.randint(0, bound), v)
+    return tuple(p)

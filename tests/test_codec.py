@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,3 +159,34 @@ def test_decoding_any_pair_round_trips_or_raises(data):
     except NotInImage:
         return
     assert encode_avoider(p, k) == pair
+
+
+@pytest.fixture(scope="module")
+def long_avoiders():
+    """Seeded avoiders past exhaustive reach: k = 3..8, n up to 300."""
+    rng = random.Random("codec past exhaustive reach")
+    return [(oracles.random_staircase_avoider(rng, k, n), k)
+            for k in range(3, 9) for n in (9, 17, 60, 150, 300)]
+
+
+def test_long_avoiders_round_trip(impl, monkeypatch, long_avoiders):
+    monkeypatch.setattr(kernels, "_impl", impl)
+    rng = random.Random("swapped letters")
+    for p, k in long_avoiders:
+        family = WordFamily.for_pattern_length(k)
+        pair = encode_avoider(p, k)
+        assert validate_word(pair.w, family) and validate_word(pair.wp, family)
+        assert sorted(pair.w) == sorted(pair.wp)
+        if k % 2 == 0:
+            assert pair.w[0] == pair.wp[0] == 1
+        assert decode_avoider(pair, k) == p
+        # two letters of wp swapped: another code's pair, or none at all
+        wp = list(pair.wp)
+        i, j = rng.sample(range(len(p)), 2)
+        wp[i], wp[j] = wp[j], wp[i]
+        swapped = CodePair(pair.w, tuple(wp))
+        try:
+            q = decode_avoider(swapped, k)
+        except NotInImage:
+            continue
+        assert encode_avoider(q, k) == swapped

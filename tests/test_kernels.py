@@ -1,57 +1,23 @@
-import importlib.util
+import functools
+import itertools
+import random
 import shutil
 import subprocess
 import sys
-import sysconfig
 import time
 from itertools import permutations
 from math import factorial
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import cli_env
+from conftest import ROOT, build_ext, cli_env, skip_unless_buildable
 from permcodec import _pure, kernels
 from permcodec.enumeration import count_avoiders
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def skip_unless_buildable():
-    """Skip where no C compiler or no ``Python.h`` is found, as setup.py checks."""
-    compiler = (sysconfig.get_config_var("CC") or "").split()[:1]
-    headers = Path(sysconfig.get_paths()["include"]) / "Python.h"
-    if not (compiler and shutil.which(compiler[0]) and headers.is_file()):
-        pytest.skip("no C compiler or no Python.h to build the extension with")
-
-
-def build_ext(root, out):
-    return subprocess.run(
-        [sys.executable, "setup.py", "-q", "build_ext",
-         "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
-        cwd=root, capture_output=True, text=True, timeout=300,
-    )
-
-
-@pytest.fixture(scope="session")
-def ext(tmp_path_factory):
-    """The compiled kernel, built from ``_ext.c`` into a temporary directory.
-
-    Skips the test only where no C compiler or no ``Python.h`` is found; a
-    build that leaves no module fails the test with the compiler's output.
-    """
-    skip_unless_buildable()
-    out = tmp_path_factory.mktemp("ext")
-    build = build_ext(ROOT, out)
-    built = sorted((out / "lib").glob("permcodec/_ext.*"))
-    if not built:
-        pytest.fail(f"the C extension did not build:\n{build.stdout}{build.stderr}")
-    spec = importlib.util.spec_from_file_location("permcodec._ext", built[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from permcodec.errors import NotInImage
+from permcodec.perms import staircase_pattern
+from permcodec.words import WordFamily
 
 
 def test_a_broken_extension_fails_the_build(tmp_path):
@@ -64,11 +30,6 @@ def test_a_broken_extension_fails_the_build(tmp_path):
     build = build_ext(tmp_path, tmp_path)
     assert build.returncode != 0
     assert not list((tmp_path / "lib").glob("permcodec/_ext.*"))
-
-
-@pytest.fixture(params=["pure", "compiled"])
-def impl(request):
-    return _pure if request.param == "pure" else request.getfixturevalue("ext")
 
 
 def perms(max_n=8, min_n=0):
@@ -211,3 +172,165 @@ def test_a_pattern_longer_than_n_counts_as_a_factorial(impl, monkeypatch):
     start = time.perf_counter()
     assert count_avoiders(tuple(range(1, 31)), 11) == factorial(11)
     assert time.perf_counter() - start < 1
+
+
+# ---------------------------------------------------------------------------
+# the codec's level passes
+
+
+def test_codes_agree_with_the_pure_passes(impl):
+    for k in range(3, 9):
+        for n in range(8):
+            for p in _pure.avoiders(staircase_pattern(k), n):
+                code = impl.encode_levels(p, k)
+                assert code == _pure.encode_levels(p, k), (p, k)
+                assert impl.decode_fill(*code, k) == p
+
+
+def fill_outcome(fill, w, wp, k):
+    """The greedy fill of (w, wp), or the message of the NotInImage it raised."""
+    try:
+        return fill(w, wp, k)
+    except NotInImage as exc:
+        return str(exc)
+
+
+@functools.cache
+def same_multiset_pairs(k, nmax):
+    """Every pair whose words share one letter multiset, with the pure fill's outcome."""
+    alphabet = sorted(WordFamily.for_pattern_length(k).alphabet)
+    pairs = []
+    for n in range(nmax + 1):
+        for letters in itertools.combinations_with_replacement(alphabet, n):
+            words = set(itertools.permutations(letters))
+            pairs += [(w, wp, fill_outcome(_pure.decode_fill, w, wp, k))
+                      for w, wp in itertools.product(words, repeat=2)]
+    return pairs
+
+
+@pytest.mark.parametrize("k,nmax", [(3, 6), (4, 5), (5, 4), (6, 4)])
+def test_decode_outcomes_agree_with_the_pure_fill(impl, k, nmax):
+    # the ranges of test_codec.test_decode_accepts_exactly_the_image
+    for w, wp, want in same_multiset_pairs(k, nmax):
+        assert fill_outcome(impl.decode_fill, w, wp, k) == want, (w, wp)
+
+
+def test_floors_agree_with_the_pure_pass_and_brute_force(impl):
+    rng = random.Random("staircase floors")
+    for _ in range(2000):
+        n = rng.randint(0, 80)
+        p = tuple(rng.sample(range(1, n + 1), n))
+        k = rng.randint(3, 10)
+        floor = impl.staircase_floor(p, k)
+        assert floor == _pure.staircase_floor(p, k), (p, k)
+        if n <= 8:
+            starts = [min(p[i - 1] for i in spots)
+                      for spots in oracles.brute_occurrences(p, staircase_pattern(k))]
+            assert floor == max(starts, default=0), (p, k)
+
+
+def test_kernels_lower_a_huge_k_to_the_same_code(impl, monkeypatch):
+    # past 2n + 3 the code depends on nothing but k's parity
+    monkeypatch.setattr(kernels, "_impl", impl)
+    for n in range(7):
+        for k in (3, 4, 5):
+            for p in oracles.brute_avoiders(staircase_pattern(k), n):
+                for big in range(k, 2 * n + 9):
+                    assert kernels.encode_levels(p, big) == _pure.encode_levels(p, big), (p, big)
+    for k in (10**6, 10**20, 10**20 + 1):
+        code = kernels.encode_levels((3, 6, 1, 2, 7, 4, 5), k)
+        assert code == _pure.encode_levels((3, 6, 1, 2, 7, 4, 5), k)
+        assert kernels.decode_fill(*code, k) == (3, 6, 1, 2, 7, 4, 5)
+
+
+def test_compiled_passes_refuse_what_would_leave_their_bounds(ext):
+    for bad in [(0, 1), (1, 3), (1, "2")]:  # the codec passes only permutations of 1..n
+        with pytest.raises((ValueError, TypeError)):
+            ext.encode_levels(bad, 4)
+    with pytest.raises(ValueError):
+        ext.staircase_floor((0, 1, 2), 3)
+    with pytest.raises(TypeError):
+        ext.staircase_floor((1, "2", 3), 3)
+    with pytest.raises(OverflowError):
+        ext.encode_levels((1,), 10**20)  # kernels lowers such a k first
+    with pytest.raises(OverflowError):
+        ext.decode_fill((1,), (1,), 2**62 + 1)  # kernels sends such a k to the pure fill
+    with pytest.raises(ValueError):
+        ext.decode_fill((1, -1), (1, -1), 4)
+    with pytest.raises(ValueError):
+        ext.decode_fill((1, 2), (1,), 4)
+    with pytest.raises(ValueError):
+        ext.decode_fill((1, 1), (1, 2), 4)  # the codec checks the multisets first
+    with pytest.raises(ValueError):
+        ext.staircase_floor((1, 2, 3), 2)
+    assert ext.staircase_floor((2, 1, 3), 4) == 0  # a longer pattern never occurs
+    huge = 10**20 + 1
+    assert fill_outcome(kernels.decode_fill, (0,), (0,), huge) == fill_outcome(
+        _pure.decode_fill, (0,), (0,), huge) == "too few entries to start the required pattern"
+
+
+def run_child(code, *args):
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True,
+                         text=True, env=cli_env(), timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+_LOAD_EXT = """\
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("permcodec._ext", sys.argv[1])
+ext = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ext)
+"""
+
+
+#: the child tests read /proc/self/statm and take ru_maxrss in KiB, as Linux reports them
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux /proc and rusage")
+
+
+@linux_only
+def test_a_failed_allocation_raises_memory_error(ext):
+    # an address-space limit on a child leaves too little room for each pass's buffers
+    code = _LOAD_EXT + """\
+import resource
+n = 10**6
+p, ones = tuple(range(1, n + 1)), (1,) * n
+pages = int(open("/proc/self/statm").read().split()[0])
+room = pages * resource.getpagesize() + 3 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (room, room))
+for run in (lambda: ext.encode_levels(p, 4), lambda: ext.decode_fill(ones, ones, 4),
+            lambda: ext.staircase_floor(p, 4)):
+    try:
+        run()
+    except MemoryError:
+        print("MemoryError")
+"""
+    assert run_child(code, ext.__file__) == ["MemoryError"] * 3
+
+
+@linux_only
+def test_compiled_round_trips_do_not_leak(ext):
+    # a leaked buffer or reference per call would grow the child by megabytes
+    code = _LOAD_EXT + """\
+import random, resource
+sys.path.insert(0, sys.argv[2])
+import oracles
+from permcodec.errors import NotInImage
+rng = random.Random("leak")
+inputs = [(oracles.random_staircase_avoider(rng, k, rng.randint(50, 70)), k)
+          for k in (3, 4, 5, 6) for _ in range(5)]
+def round_trip(p, k):
+    w, wp = ext.encode_levels(p, k)
+    assert ext.decode_fill(w, wp, k) == p and ext.staircase_floor(p, k) == 0
+    try:  # a rejected fill returns through the error paths
+        ext.decode_fill(w, wp[1:] + wp[:1], k)
+    except NotInImage:
+        pass
+for i in range(100_000):
+    round_trip(*inputs[i % len(inputs)])
+    if i == 999:
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+    after_1000, after_all = map(int, run_child(code, ext.__file__, ROOT / "tests"))
+    assert after_all - after_1000 < 3 * 1024  # KiB

@@ -60,6 +60,11 @@ def test_validate_word():
     odd3 = WordFamily(3, "odd")
     assert validate_word((0, 0, 0, 1, 1, 1, 2, 0), odd3)
     assert not validate_word((4, 3, 2), odd3)
+    huge = WordFamily(10**300, "odd")  # the check builds nothing per letter of the alphabet
+    top = huge.alphabet[-1]
+    assert validate_word((top, top - 2, 0, 7), huge)
+    assert not validate_word((top, 6, 5), huge)
+    assert not validate_word((0, top + 1), huge)
 
 
 @given(st.integers(2, 6), st.sampled_from(["odd", "even"]), st.data())
