@@ -430,9 +430,9 @@ done:
  * algorithms), so that codes and decode outcomes are bit-exact. The caller,
  * permcodec.codec, has checked that p is a permutation of 1..n and that every
  * letter is in the alphabet for k; these passes check only what keeps them
- * in bounds. Entries and letters are C integers: permcodec.kernels lowers a
- * huge k for encode_levels and sends a decode with k past MAX_K to the pure
- * twin, so every letter level and offset below fits 64 bits.
+ * in bounds, and the fill owns the letter counts. Entries and letters are C
+ * integers: permcodec.kernels lowers every k to at most 2n + 5 and turns away
+ * letters past the lowered base level, so every level and offset fits 64 bits.
  */
 
 #define MAX_K ((long long)1 << 62)
@@ -890,8 +890,8 @@ decode_fill(PyObject *self, PyObject *args)
     }
     result = tuple_of(out, n);
     goto done;
-unequal:  /* permcodec.codec checks the multisets first */
-    PyErr_SetString(PyExc_ValueError, "the two words must share one letter multiset");
+unequal:  /* a marked letter has more slots than values */
+    not_in_image("the two words must share one letter multiset");
 done:
     floor_free(&f);
     PyMem_Free(w);

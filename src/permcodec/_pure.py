@@ -315,10 +315,9 @@ def decode_fill(w: Sequence[int], wp: Sequence[int], k: int) -> tuple[int, ...]:
     values, both read off its letters, so the deeper levels are final when
     an odd level reads them. Only relative order counts, so working on the
     original values makes the same choices as decoding each level on its
-    own. The two words must share one letter multiset (the codec checks
-    it, and every code from encode_levels has it): then each level has as
-    many positions as values, and as many marked positions as marked values.
-    Raises NotInImage where the fill gets stuck.
+    own. Raises NotInImage where the fill gets stuck, as where a letter has
+    more slots than values: every letter of the alphabet for k feeds one
+    pool, so two words over it whose letter multisets differ never fill.
 
     >>> decode_fill((1, 2, 1, 2, 2, 3, 4), (1, 2, 1, 3, 4, 2, 2), 4)
     (3, 6, 1, 2, 7, 4, 5)
@@ -335,7 +334,9 @@ def decode_fill(w: Sequence[int], wp: Sequence[int], k: int) -> tuple[int, ...]:
             limit = 0
             for i in reversed(slots):
                 if w[i] != offset:
-                    limit = out[i] = next(maxima)
+                    limit = out[i] = next(maxima, 0)
+                    if not limit:
+                        raise NotInImage("the two words must share one letter multiset")
                     continue
                 at = bisect_left(rest, limit) - 1
                 if at < 0:
@@ -350,6 +351,8 @@ def decode_fill(w: Sequence[int], wp: Sequence[int], k: int) -> tuple[int, ...]:
             floor = 0
             for i in slots:
                 if w[i] != offset + 2:
+                    if not minima:
+                        raise NotInImage("the two words must share one letter multiset")
                     floor = out[i] = minima.pop()
                     continue
                 at = bisect_right(rest, floor)

@@ -10,12 +10,10 @@ aborting the run.
 from __future__ import annotations
 
 import json
-import logging
+import sys
 from pathlib import Path
 
 from permcodec.errors import CacheIOError
-
-log = logging.getLogger(__name__)
 
 
 class CacheStore:
@@ -40,7 +38,8 @@ class CacheStore:
                 key = (str(record["pattern"]), int(record["n"]))
                 value = int(record["count"])
             except (ValueError, TypeError, KeyError):
-                log.warning("%s:%d: skipping malformed cache line", store.path, lineno)
+                print(f"permcodec: {store.path}:{lineno}: skipping malformed cache line",
+                      file=sys.stderr)
                 continue
             store.entries[key] = value
         return store

@@ -2,7 +2,8 @@
 
 Subcommands: encode, decode, count, words, bounds, verify, scan. stdout
 carries data only (JSON, CSV, or plain key=value lines); diagnostics go to
-stderr. Output bytes depend only on the flags, never on --jobs.
+stderr. Output bytes depend only on the flags, never on --jobs. Once stdout
+is closed, the rest of it is dropped, and the exit code stays the command's.
 
 Each subcommand takes only the flags it reads, except that count accepts
 --jobs and verify --cache, which perfbench passes, and ignores them.
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -67,7 +67,17 @@ def _cache_path(args: argparse.Namespace) -> str:
 
 
 def _emit(line: str) -> None:
-    sys.stdout.write(line + "\n")
+    _to_stdout(sys.stdout.write, line + "\n")
+
+
+def _to_stdout(write, *args) -> None:
+    """Write or flush stdout; once its reader is gone, send the rest to os.devnull."""
+    try:
+        write(*args)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
@@ -266,10 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="permcodec: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
     except (MalformedInput, DomainError) as exc:
         print(f"permcodec: {exc}", file=sys.stderr)
         return 2
@@ -282,6 +291,8 @@ def main(argv: list[str] | None = None) -> int:
     except CacheIOError as exc:
         print(f"permcodec: {exc}", file=sys.stderr)
         return 6
+    _to_stdout(sys.stdout.flush)  # a buffered stdout meets a closed pipe here, not at exit
+    return code
 
 
 if __name__ == "__main__":

@@ -30,9 +30,10 @@ multiset; the encoding is injective (verified exhaustively in tests).
 The three inner passes, the per-level encode, the greedy fill and the floor
 pass, are kernels (``kernels.encode_levels``, ``decode_fill`` and
 ``staircase_floor``): compiled in ``_ext.c`` when it is built, and otherwise
-their pure twins in ``_pure``, which spell out the algorithms. This module
-checks the input, names the witness of a failed avoidance check, and does
-the multiset, floor and re-encode checks of a decode, on either backend.
+their pure twins in ``_pure``, which spell out the algorithms. They take
+any k >= 3, and the fill rejects two words whose letter multisets differ.
+This module checks the input, names the witness of a failed avoidance
+check, and does the floor and re-encode checks of a decode.
 """
 
 from __future__ import annotations
@@ -53,15 +54,6 @@ from permcodec.perms import (
 from permcodec.words import CodePair, WordFamily
 
 
-def _contains(p: Perm, k: int) -> bool:
-    """Whether p contains the length-k staircase: one floor pass, no search."""
-    return k <= len(p) and kernels.staircase_floor(p, k) > 0  # a longer pattern never occurs
-
-
-def _encode(p: Perm, k: int) -> CodePair:
-    return CodePair(*kernels.encode_levels(p, k))
-
-
 def encode_avoider(p: Perm, k: int) -> CodePair:
     """Encode a permutation avoiding the length-k staircase pattern.
 
@@ -75,21 +67,16 @@ def encode_avoider(p: Perm, k: int) -> CodePair:
     p = validate_permutation(p)
     if k < 3:
         raise DomainError(f"pattern length must be at least 3, got {k}")
-    if _contains(p, k):
+    if kernels.staircase_floor(p, k):
         q = staircase_pattern(k)
         witness = kernels.first_occurrence(p, q)  # the floor only says that one exists
         spot = ",".join(str(i) for i in witness)
         raise PreconditionViolated(f"contains {format_permutation(q)} at ({spot})", witness=witness)
-    return _encode(p, k)
+    return CodePair(*kernels.encode_levels(p, k))
 
 
 # ---------------------------------------------------------------------------
 # decoding
-
-
-def _decode(pair: CodePair, k: int) -> Perm:
-    """Greedy inverse of _encode; raises NotInImage where the fill gets stuck."""
-    return kernels.decode_fill(pair.w, pair.wp, k)
 
 
 def decode_avoider(pair: CodePair, k: int) -> Perm:
@@ -105,11 +92,9 @@ def decode_avoider(pair: CodePair, k: int) -> Perm:
     for word in (pair.w, pair.wp):
         if any(x not in alphabet for x in word):
             raise MalformedInput(f"letters outside the alphabet for k={k}: {word}")
-    if sorted(pair.w) != sorted(pair.wp):
-        raise NotInImage("the two words must share one letter multiset")
-    p = _decode(pair, k)
-    if _contains(p, k):
+    p = kernels.decode_fill(pair.w, pair.wp, k)  # raises where the letter multisets differ
+    if kernels.staircase_floor(p, k):
         raise NotInImage("greedy fill produced a pattern occurrence")
-    if _encode(p, k) != pair:
+    if kernels.encode_levels(p, k) != (pair.w, pair.wp):
         raise NotInImage("re-encoding does not reproduce the pair")
     return p

@@ -29,7 +29,6 @@ from typing import Iterator, Mapping
 
 from permcodec import kernels
 from permcodec.cache import CacheStore
-from permcodec.codec import _decode, _encode
 from permcodec.errors import DomainError, NotInImage, ScaleRefused
 from permcodec.perms import (
     Perm,
@@ -40,7 +39,7 @@ from permcodec.perms import (
     symmetry_orbit,
     validate_permutation,
 )
-from permcodec.words import CodePair, WordFamily, validate_word
+from permcodec.words import WordFamily, validate_word
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -179,15 +178,15 @@ def _verify_shard(args: tuple[int, int, int]) -> dict:
     total = 0
     for p in kernels.avoiders(staircase_pattern(k), n, first):
         total += 1
-        pair = _encode(p, k)
+        w, wp = kernels.encode_levels(p, k)
         try:
-            back = _decode(pair, k)
+            back = kernels.decode_fill(w, wp, k)
         except NotInImage:
             back = None
         failed = {
             "round_trip": back != p,
-            "image": not all(validate_word(x, family) for x in (pair.w, pair.wp)),
-            "first_letter": check_first and not (pair.w[0] == 1 and pair.wp[0] == 1),
+            "image": not (validate_word(w, family) and validate_word(wp, family)),
+            "first_letter": check_first and not (w[0] == 1 and wp[0] == 1),
         }
         for key, bad in failed.items():
             if bad:
@@ -228,10 +227,10 @@ def verify_injection(
             counts[key] += count
             examples[key].extend(shard["examples"][key])
     if counts["round_trip"]:  # a decoder that inverts every code proves them distinct
-        seen: dict[CodePair, str] = {}
+        seen: dict[tuple, str] = {}
         for p in kernels.avoiders(staircase_pattern(k), n):
             text = format_permutation(p)
-            first = seen.setdefault(_encode(p, k), text)
+            first = seen.setdefault(kernels.encode_levels(p, k), text)
             if first != text:
                 counts["duplicate"] += 1
                 examples["duplicate"].append(f"{first}={text}")

@@ -6,8 +6,8 @@ passes: the per-level encode, the greedy decode fill and the staircase
 floor (see ``_pure.encode_levels``, ``decode_fill`` and ``staircase_floor``).
 Each backend runs the same algorithms, so counts and codes agree bit for
 bit. The avoider walk behind ``verify`` yields Python tuples, and the
-occurrence search only names the witness of a failed precondition, so both
-are the pure ones on either backend.
+occurrence search names an encode's witness and backs ``perms.avoids`` (a
+scan's ``is_layered``), so both are the pure ones on either backend.
 
 Set PERMCODEC_PURE=1 to force the pure backend; the README's recipe for
 timing the two implementations runs the benchmark once with it and once
@@ -18,6 +18,7 @@ import os
 from math import factorial
 
 from permcodec import _pure
+from permcodec.errors import NotInImage
 
 if os.environ.get("PERMCODEC_PURE"):
     _impl = _pure
@@ -33,8 +34,6 @@ avoiders = _pure.avoiders
 
 #: the compiled engine keeps a 64-bit total and refuses n past 20 (20! < 2**63 < 21!)
 _COMPILED_MAX_N = 20
-#: the compiled decode takes k up to 2**62, so its levels and letters fit 64 bits
-_COMPILED_MAX_K = 2**62
 
 
 def count_avoiders_dfs(q, n: int) -> list[int]:
@@ -48,20 +47,25 @@ def count_avoiders_dfs(q, n: int) -> list[int]:
     return _impl.count_avoiders_dfs(q, n)
 
 
+def _lowered(k: int, n: int) -> int:
+    """k, capped at the least k' > 2n + 3 of its parity, which acts alike on length-n input:
+    past 2n + 3 no level reaches 3, no odd level letters an entry, and no staircase occurs."""
+    return min(k, 2 * n + 4 + k % 2)
+
+
 def encode_levels(p, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The code (w, wp) of p, a permutation of 1..n avoiding the length-k staircase, k >= 3."""
-    # past 2n + 3 no level reaches 3 and no odd level letters an entry, so
-    # the code is the same for every larger k of the same parity
-    return _impl.encode_levels(p, min(k, 2 * len(p) + 4 + k % 2))
+    return _impl.encode_levels(p, _lowered(k, len(p)))
 
 
 def decode_fill(w, wp, k: int) -> tuple[int, ...]:
-    """The greedy fill of (w, wp): words over the alphabet for k with one letter multiset."""
-    if k > _COMPILED_MAX_K:
-        return _pure.decode_fill(w, wp, k)
-    return _impl.decode_fill(w, wp, k)
+    """The greedy fill of (w, wp), equal-length words; NotInImage where it gets stuck."""
+    low = _lowered(k, len(w))
+    if low < k and max((*w, *wp), default=0) >= 3 * (low // 2 - 1):  # the lowered base level
+        raise NotInImage("a letter names a level that no code of this length reaches")
+    return _impl.decode_fill(w, wp, low)
 
 
 def staircase_floor(p, k: int) -> int:
-    """The floor of the length-k staircase over p, a permutation of 1..n with n >= k >= 3."""
-    return _impl.staircase_floor(p, k)
+    """The floor of the length-k staircase over p, a permutation, k >= 3: 0 iff p avoids it."""
+    return _impl.staircase_floor(p, _lowered(k, len(p)))

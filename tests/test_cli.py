@@ -288,7 +288,7 @@ def test_huge_parameters_end_quickly(tmp_path, args, code, stdout):
         "decode-containing-fill-1005"}
 ])
 def test_huge_codec_parameters_end_quickly_on_the_pure_backend(tmp_path, args, code, stdout):
-    # the compiled passes lower a huge k or hand it to the pure ones: both end alike
+    # kernels lowers a huge k for either backend's passes, so both end alike
     out = run_cli(args, tmp_path, env_extra={"PERMCODEC_PURE": "1"}, timeout=5)
     assert (out.returncode, out.stdout) == (code, stdout)
     assert "Traceback" not in out.stderr
@@ -495,3 +495,18 @@ def test_output_bytes_do_not_depend_on_jobs(tmp_path, args):
     eight = run_cli([*args, "--jobs", "8"], tmp_path)
     assert one.returncode == eight.returncode == 0
     assert one.stdout == eight.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("args", [["verify", "--k", "5", "-n", "6"], ["scan", "--k", "3", "-n", "5"]],
+                         ids=["verify", "scan"])
+def test_a_closed_stdout_ends_the_run_quietly_with_its_own_code(tmp_path, args, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes a byte
+    with subprocess.Popen(
+        [sys.executable, "-m", "permcodec", *args], stdout=write_end, stderr=subprocess.PIPE,
+        text=True, cwd=tmp_path, env=cli_env({"PYTHONUNBUFFERED": unbuffered}),
+    ) as proc:
+        os.close(write_end)
+        stderr = proc.communicate(timeout=60)[1]
+    assert (proc.returncode, stderr) == (0, "")

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from permcodec import kernels
@@ -148,8 +148,8 @@ def words_for(k, n):
 @settings(max_examples=400)
 @given(data=st.data())
 def test_decoding_any_pair_round_trips_or_raises(data):
-    # wp is a rearrangement of w, so every pair passes the multiset check and
-    # reaches the greedy decoder
+    # wp is a rearrangement of w, so no letter runs short and every pair
+    # tests the greedy choices themselves
     k = data.draw(st.integers(3, 8))
     n = data.draw(st.integers(0, 8))
     w = data.draw(words_for(k, n))
@@ -159,6 +159,19 @@ def test_decoding_any_pair_round_trips_or_raises(data):
     except NotInImage:
         return
     assert encode_avoider(p, k) == pair
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_words_whose_letter_multisets_differ_never_decode(data):
+    # the codec sorts nothing: of two equal-length words over the alphabet
+    # whose multisets differ, the fill finds some letter with too few values
+    k = data.draw(st.integers(3, 8))
+    n = data.draw(st.integers(1, 8))
+    w, wp = data.draw(words_for(k, n)), data.draw(words_for(k, n))
+    assume(sorted(w) != sorted(wp))
+    with pytest.raises(NotInImage):
+        decode_avoider(CodePair(w, wp), k)
 
 
 @pytest.fixture(scope="module")

@@ -21,6 +21,7 @@ from permcodec.enumeration import (
 )
 from permcodec.errors import DomainError, MalformedInput, NotInImage, ScaleRefused
 from permcodec.perms import staircase_pattern
+from permcodec.words import CodePair
 
 
 def injective_prefixes(n):
@@ -198,12 +199,12 @@ def test_verify_injection_reports_code_collisions(monkeypatch, victims):
     k, n = 4, 5
     avoiders = list(enumerate_avoiders(staircase_pattern(k), n))
     target, collide = avoiders[7], set(avoiders[20:20 + victims])
-    real = enumeration._encode
+    real = kernels.encode_levels
 
     def colliding(p, k):
         return real(target if p in collide else p, k)
 
-    monkeypatch.setattr(enumeration, "_encode", colliding)
+    monkeypatch.setattr(kernels, "encode_levels", colliding)
     report = verify_injection(k, n, jobs=1)
 
     round_trip_failures = 0
@@ -211,7 +212,7 @@ def test_verify_injection_reports_code_collisions(monkeypatch, victims):
     for p in avoiders:
         code, text = colliding(p, k), "".join(map(str, p))
         try:
-            back = decode_avoider(code, k)
+            back = decode_avoider(CodePair(*code), k)
         except NotInImage:
             back = None
         round_trip_failures += back != p

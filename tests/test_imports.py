@@ -42,9 +42,10 @@ _MAIN = "from permcodec import cli\ncli.main(sys.argv[1:])"
 
 
 def test_a_count_loads_no_word_counts_and_no_pool(tmp_path):
+    # nor logging: the cache prints its one warning itself
     loaded = loaded_by(_MAIN, "count", "-q", "1324", "-n", "6", "--cache", str(tmp_path / "c"))
     assert "permcodec.enumeration" in loaded
-    assert not loaded & {"permcodec.wordcount", "fractions", "concurrent.futures"}
+    assert not loaded & {"permcodec.wordcount", "fractions", "concurrent.futures", "logging"}
 
 
 @pytest.mark.parametrize(

@@ -215,6 +215,65 @@ def test_decode_outcomes_agree_with_the_pure_fill(impl, k, nmax):
         assert fill_outcome(impl.decode_fill, w, wp, k) == want, (w, wp)
 
 
+@functools.cache
+def equal_length_pairs(k, n):
+    """Every pair of length-n words over the alphabet for k, letter multisets equal or not."""
+    words = list(itertools.product(sorted(WordFamily.for_pattern_length(k).alphabet), repeat=n))
+    return list(itertools.product(words, repeat=2))
+
+
+@pytest.mark.parametrize("k,nmax", [(3, 6), (4, 4), (5, 3), (6, 3)])
+def test_fill_outcomes_agree_on_every_pair_of_words(ext, k, nmax):
+    # the fills own the letter counts: a pair whose multisets differ never fills
+    for n in range(nmax + 1):
+        for w, wp in equal_length_pairs(k, n):
+            want = fill_outcome(_pure.decode_fill, w, wp, k)
+            assert fill_outcome(ext.decode_fill, w, wp, k) == want, (w, wp)
+            assert isinstance(want, str) or sorted(w) == sorted(wp), (w, wp)
+    unequal = "the two words must share one letter multiset"
+    assert fill_outcome(_pure.decode_fill, (1, 1), (1, 2), 4) == unequal
+
+
+def decision(passes, w, wp, k):
+    """The decode's verdict from (fill, floor, encode): the avoider, or None for NotInImage."""
+    fill, floor, encode = passes
+    try:
+        p = fill(w, wp, k)
+    except NotInImage:
+        return None
+    return p if not floor(p, k) and encode(p, k) == (w, wp) else None
+
+
+def test_lowered_and_unlowered_decodes_reach_one_decision(impl, monkeypatch):
+    # kernels hands every pass the least k of the same parity past 2n + 3
+    monkeypatch.setattr(kernels, "_impl", impl)
+    lowered = (kernels.decode_fill, kernels.staircase_floor, kernels.encode_levels)
+    unlowered = (_pure.decode_fill, _pure.staircase_floor, _pure.encode_levels)
+    rng = random.Random("lowered decodes")
+    accepted = 0
+    for n in range(6):
+        for k in [*range(2 * n + 4, 2 * n + 21), 10**20, 10**20 + 1]:
+            top = WordFamily.for_pattern_length(k).alphabet[-1]
+            letters = [*range(3 * n + 6), top - 1, top]  # a code's letters, and the base level's
+            for _ in range(40):
+                p = tuple(rng.sample(range(1, n + 1), n))  # no staircase longer than n occurs
+                w, wp = map(list, _pure.encode_levels(p, k))
+                if n and rng.random() < 0.7:  # a code with one letter changed or two swapped
+                    word = rng.choice((w, wp))
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    if rng.random() < 0.5:
+                        word[i], word[j] = word[j], word[i]
+                    else:
+                        word[i] = rng.choice(letters)
+                if rng.random() < 0.2:  # or two words drawn at random
+                    w, wp = ([rng.choice(letters) for _ in range(n)] for _ in range(2))
+                w, wp = tuple(w), tuple(wp)
+                want = decision(unlowered, w, wp, k)
+                assert decision(lowered, w, wp, k) == want, (w, wp, k)
+                accepted += want is not None
+    assert accepted > 1000
+
+
 def test_floors_agree_with_the_pure_pass_and_brute_force(impl):
     rng = random.Random("staircase floors")
     for _ in range(2000):
@@ -254,13 +313,13 @@ def test_compiled_passes_refuse_what_would_leave_their_bounds(ext):
     with pytest.raises(OverflowError):
         ext.encode_levels((1,), 10**20)  # kernels lowers such a k first
     with pytest.raises(OverflowError):
-        ext.decode_fill((1,), (1,), 2**62 + 1)  # kernels sends such a k to the pure fill
+        ext.decode_fill((1,), (1,), 2**62 + 1)  # kernels lowers such a k first
     with pytest.raises(ValueError):
         ext.decode_fill((1, -1), (1, -1), 4)
     with pytest.raises(ValueError):
         ext.decode_fill((1, 2), (1,), 4)
-    with pytest.raises(ValueError):
-        ext.decode_fill((1, 1), (1, 2), 4)  # the codec checks the multisets first
+    with pytest.raises(NotInImage, match="one letter multiset"):
+        ext.decode_fill((1, 1), (1, 2), 4)  # the fill owns the letter counts
     with pytest.raises(ValueError):
         ext.staircase_floor((1, 2, 3), 2)
     assert ext.staircase_floor((2, 1, 3), 4) == 0  # a longer pattern never occurs
