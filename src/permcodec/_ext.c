@@ -1,7 +1,9 @@
 /*
- * Compiled kernels for permcodec.kernels: the avoider count and the codec's
- * level passes. The avoider walk behind verify is not compiled; it stays in
- * permcodec._pure on either backend.
+ * Compiled kernels for permcodec.kernels: the avoider count, the codec's
+ * level passes and the verify sweep, which walks the avoiders and sends each
+ * through those passes. setup.py passes SOURCE_CRC32, the CRC-32 of this
+ * file, which the module exposes so that permcodec.kernels can tell a stale
+ * build from a fresh one.
  *
  * count_avoiders_dfs(q, n) returns the avoider counts of q for every length
  * 0..n, with the memoized engine of permcodec._pure.count_avoiders_dfs (see
@@ -26,6 +28,10 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+#ifndef SOURCE_CRC32
+#error "build with setup.py, which defines SOURCE_CRC32 as the CRC-32 of this file"
+#endif
 
 #define MAX_N 20
 #define END 0xFF
@@ -425,14 +431,20 @@ done:
 }
 
 /* ---------------------------------------------------------------------------
- * The codec's level passes: encode_levels, decode_fill and staircase_floor,
- * ported one for one from their twins in permcodec._pure (see those for the
- * algorithms), so that codes and decode outcomes are bit-exact. The caller,
+ * The codec's level passes and the verify sweep: encode_levels, decode_fill,
+ * staircase_floor and verify_shard, ported one for one from their twins in
+ * permcodec._pure (see those for the algorithms), so that codes, decode
+ * outcomes and sweep reports are bit-exact. One encode core and one fill
+ * core serve both the Python-facing passes and the sweep. The caller,
  * permcodec.codec, has checked that p is a permutation of 1..n and that every
  * letter is in the alphabet for k; these passes check only what keeps them
  * in bounds, and the fill owns the letter counts. Entries and letters are C
  * integers: permcodec.kernels lowers every k to at most 2n + 5 and turns away
  * letters past the lowered base level, so every level and offset fits 64 bits.
+ * The cores report a failed allocation by their result, and the passes raise
+ * MemoryError holding the GIL. The sweep runs them without the GIL, so their
+ * buffers then come from PyMem_Raw*; under the GIL they come from PyMem_*,
+ * whose small blocks are cheaper.
  */
 
 #define MAX_K ((long long)1 << 62)
@@ -468,13 +480,44 @@ tuple_of(const Py_ssize_t *values, Py_ssize_t n)
     return t;
 }
 
+static PyObject *
+letters_of(const long long *letters, Py_ssize_t n)
+{
+    PyObject *t = PyTuple_New(n);
+    for (Py_ssize_t i = 0; t && i < n; i++) {
+        PyObject *v = PyLong_FromLongLong(letters[i]);
+        if (!v)
+            Py_CLEAR(t);
+        else
+            PyTuple_SET_ITEM(t, i, v);
+    }
+    return t;
+}
+
+/* Resize or free a block from PyMem_Raw* (raw) or PyMem_*, which needs the GIL. */
+static void *
+mem_resize(int raw, void *block, size_t size)
+{
+    return raw ? PyMem_RawRealloc(block, size) : PyMem_Realloc(block, size);
+}
+
+static void
+mem_free(int raw, void *block)
+{
+    if (raw)
+        PyMem_RawFree(block);
+    else
+        PyMem_Free(block);
+}
+
 /* The staircase floor of permcodec.perms.StaircaseFloor, over entries pushed right to left. */
 typedef struct {
     Py_ssize_t b, above;  /* an entry of a pair layer, and the floor of the layers after it */
 } Tail;
 
 typedef struct {
-    Py_ssize_t layers, first_pair;
+    int raw;                              /* its buffers come from PyMem_Raw* */
+    Py_ssize_t layers, first_pair, room;  /* room: the layers its buffers hold */
     Py_ssize_t *floors;  /* floors[0..layers]; floors[layers] is INF */
     Py_ssize_t *len, *cap;
     Tail **tails;        /* per layer; only the pair layers fill theirs */
@@ -483,32 +526,38 @@ typedef struct {
 static void
 floor_free(Floor *f)
 {
-    for (Py_ssize_t j = 0; f->tails && j < f->layers; j++)
-        PyMem_Free(f->tails[j]);
-    PyMem_Free(f->tails);
-    PyMem_Free(f->floors);
+    for (Py_ssize_t j = 0; j < f->room; j++)
+        mem_free(f->raw, f->tails[j]);
+    mem_free(f->raw, f->floors);
+    *f = (Floor){.raw = f->raw};
 }
 
-/* A floor for the length-k staircase, k >= 3; 0 with MemoryError set on failure,
- * when the caller still frees it. */
+/* Empty f for the length-k staircase, k >= 3, keeping the buffers it has; 0 on a
+ * failed allocation, when the caller still frees it. */
 static int
 floor_init(Floor *f, Py_ssize_t k)
 {
-    f->layers = k / 2 + 1;
-    f->first_pair = 1 - k % 2;  /* an even k opens with a singleton layer */
-    f->floors = PyMem_Calloc(3 * f->layers + 1, sizeof(Py_ssize_t));
-    f->tails = PyMem_Calloc(f->layers, sizeof(Tail *));
-    if (!f->floors || !f->tails) {
-        PyErr_NoMemory();
-        return 0;
+    Py_ssize_t layers = k / 2 + 1;
+    if (layers > f->room) {  /* one block: floors, len and cap, then the tails */
+        size_t size = (3 * layers + 1) * sizeof(Py_ssize_t) + layers * sizeof(Tail *);
+        floor_free(f);
+        if (!(f->floors = mem_resize(f->raw, NULL, size)))
+            return 0;
+        memset(f->floors, 0, size);
+        f->room = layers;
+        f->len = f->floors + layers + 1;
+        f->cap = f->len + layers;
+        f->tails = (Tail **)(f->cap + layers);
     }
-    f->floors[f->layers] = INF;  /* any entry may open the top layer */
-    f->len = f->floors + f->layers + 1;
-    f->cap = f->len + f->layers;
+    f->layers = layers;
+    f->first_pair = 1 - k % 2;  /* an even k opens with a singleton layer */
+    for (Py_ssize_t j = 0; j < layers; j++)
+        f->floors[j] = f->len[j] = 0;
+    f->floors[layers] = INF;  /* any entry may open the top layer */
     return 1;
 }
 
-/* Add x left of every entry pushed so far; 0 with MemoryError set on failure. */
+/* Add x left of every entry pushed so far; 0 on a failed allocation. */
 static int
 floor_push(Floor *f, Py_ssize_t x)
 {
@@ -529,11 +578,9 @@ floor_push(Floor *f, Py_ssize_t x)
             continue;
         if (f->len[j] == f->cap[j]) {
             Py_ssize_t cap = f->cap[j] ? 2 * f->cap[j] : 16;
-            Tail *tails = PyMem_Realloc(f->tails[j], cap * sizeof(Tail));
-            if (!tails) {
-                PyErr_NoMemory();
+            Tail *tails = mem_resize(f->raw, f->tails[j], cap * sizeof(Tail));
+            if (!tails)
                 return 0;
-            }
             f->tails[j] = tails;
             f->cap[j] = cap;
         }
@@ -580,17 +627,58 @@ staircase_floor(PyObject *self, PyObject *args)
         result = PyLong_FromLong(0);
         goto done;
     }
-    if (!floor_init(&f, (Py_ssize_t)k))
-        goto done;
-    for (Py_ssize_t i = n; i-- > 0;)
-        if (!floor_push(&f, p[i]))
-            goto done;
-    result = PyLong_FromSsize_t(f.floors[0]);
+    int built = floor_init(&f, (Py_ssize_t)k);
+    for (Py_ssize_t i = n; built && i-- > 0;)
+        built = floor_push(&f, p[i]);
+    result = built ? PyLong_FromSsize_t(f.floors[0]) : PyErr_NoMemory();
 done:
     floor_free(&f);
     PyMem_Free(p);
     Py_DECREF(seq);
     return result;
+}
+
+/* The inputs, outputs and scratch of the encode and fill cores, for n entries. */
+typedef struct {
+    Py_ssize_t n;
+    Py_ssize_t *p, *out;                  /* a permutation to encode, and a fill */
+    long long *w;                         /* a code: n letters by position, then n by value */
+    Py_ssize_t *rest, *values, *lo, *hi;  /* encode: the unlettered positions, their values, spans */
+    Py_ssize_t *slots, *marked, *pool;    /* fill: one level's slots, its marked and other values */
+    long long *levels;
+    char *mask;
+    Floor f;
+} Work;
+
+/* One block for all, from PyMem_Raw* if raw; 0 on a failed allocation, when the
+ * caller still frees s. */
+static int
+work_init(Work *s, Py_ssize_t n, int raw)
+{
+    s->n = n;
+    s->f.raw = raw;
+    s->p = mem_resize(raw, NULL, 9 * n * sizeof(Py_ssize_t) + 3 * n * sizeof(long long) + n + 1);
+    if (!s->p)
+        return 0;
+    s->out = s->p + n;
+    s->rest = s->out + n;
+    s->values = s->rest + n;
+    s->lo = s->values + n;
+    s->hi = s->lo + n;
+    s->slots = s->hi + n;
+    s->marked = s->slots + n;
+    s->pool = s->marked + n;
+    s->w = (long long *)(s->pool + n);
+    s->levels = s->w + 2 * n;
+    s->mask = (char *)(s->levels + n);
+    return 1;
+}
+
+static void
+work_free(Work *s)
+{
+    mem_free(s->f.raw, s->p);
+    floor_free(&s->f);
 }
 
 /* The red/blue mask of permcodec.coloring.canonical_coloring over values[0..count). */
@@ -615,87 +703,92 @@ color(const Py_ssize_t *values, Py_ssize_t count, char *red, Py_ssize_t *lo, Py_
     }
 }
 
-static PyObject *
-encode_levels(PyObject *self, PyObject *args)
+/* The code of s->p, n entries in 1..n, for k, into s->w. 0 on a failed allocation. */
+static int
+encode_core(Work *s, long long k)
 {
-    PyObject *p_obj, *seq, *w = NULL, *wp = NULL, *result = NULL;
-    long long k;
-    if (!PyArg_ParseTuple(args, "OL:encode_levels", &p_obj, &k))
-        return NULL;
-    if (!(seq = PySequence_Fast(p_obj, "p must be a sequence")))
-        return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    /* p, the letters by position and by value, the unlettered positions, their values, spans */
-    Py_ssize_t *p = PyMem_Malloc((7 * n + 1) * sizeof(Py_ssize_t));
-    char *mask = PyMem_Malloc(n + 1);
-    Floor f = {0};
-    if (!p || !mask) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    Py_ssize_t *letters = p + n, *by_value = letters + n, *rest = by_value + n;
-    Py_ssize_t *values = rest + n, *lo = values + n, *hi = lo + n;
-    if (!read_entries(seq, p, n))
-        goto done;
-    Py_ssize_t count = n;
+    Py_ssize_t n = s->n, *p = s->p, *rest = s->rest, *values = s->values, count = n;
+    long long *w = s->w, *wp = w + n;
+    char *mask = s->mask;
     for (Py_ssize_t i = 0; i < n; i++) {
         rest[i] = i;
-        letters[i] = by_value[i] = 0;
+        w[i] = wp[i] = 0;
     }
     /* outside in; each even level letters at least one entry, so at most 2n + 2 levels run */
     for (long long level = k; level > 2 && count; level--) {
-        Py_ssize_t offset = (Py_ssize_t)offset_of(level, k), kept = 0;
+        long long offset = offset_of(level, k);
+        Py_ssize_t kept = 0;
         for (Py_ssize_t x = 0; x < count; x++)
             values[x] = p[rest[x]];
         if (level == 3) {  /* right-to-left maxima get offset + 1 */
             Py_ssize_t best = 0;
             for (Py_ssize_t x = count; x-- > 0;) {
-                letters[rest[x]] = offset + (values[x] > best);
+                w[rest[x]] = offset + (values[x] > best);
                 best = values[x] > best ? values[x] : best;
             }
         } else if (level % 2) {  /* entries below the floor of those after them get offset */
             if (level - 1 > count)
                 continue;  /* no entry starts a marker longer than the rest */
-            if (!floor_init(&f, (Py_ssize_t)level - 2))
-                goto done;
+            if (!floor_init(&s->f, (Py_ssize_t)level - 2))
+                return 0;
             for (Py_ssize_t x = count; x-- > 0;) {
-                mask[x] = values[x] < f.floors[0];
-                if (!floor_push(&f, values[x]))
-                    goto done;
+                mask[x] = values[x] < s->f.floors[0];
+                if (!floor_push(&s->f, values[x]))
+                    return 0;
             }
-            floor_free(&f);
-            f = (Floor){0};
             for (Py_ssize_t x = 0; x < count; x++) {
                 if (mask[x])
-                    letters[rest[x]] = offset;
+                    w[rest[x]] = offset;
                 else
                     rest[kept++] = rest[x];
             }
             count = kept;
         } else {  /* red entries: offset + 1 on their left-to-right minima, offset + 2 elsewhere */
             Py_ssize_t best = INF;
-            color(values, count, mask, lo, hi);
+            color(values, count, mask, s->lo, s->hi);
             for (Py_ssize_t x = 0; x < count; x++) {
                 if (!mask[x]) {
                     rest[kept++] = rest[x];
                     continue;
                 }
-                letters[rest[x]] = offset + 1 + (values[x] >= best);
+                w[rest[x]] = offset + 1 + (values[x] >= best);
                 best = values[x] < best ? values[x] : best;
             }
             count = kept;
         }
     }
     for (Py_ssize_t i = 0; i < n; i++)
-        by_value[p[i] - 1] = letters[i];
-    if ((w = tuple_of(letters, n)) && (wp = tuple_of(by_value, n)))
-        result = PyTuple_Pack(2, w, wp);
+        wp[p[i] - 1] = w[i];
+    return 1;
+}
+
+static PyObject *
+encode_levels(PyObject *self, PyObject *args)
+{
+    PyObject *p_obj, *seq, *w_obj = NULL, *wp_obj = NULL, *result = NULL;
+    long long k;
+    if (!PyArg_ParseTuple(args, "OL:encode_levels", &p_obj, &k))
+        return NULL;
+    if (!(seq = PySequence_Fast(p_obj, "p must be a sequence")))
+        return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    Work s = {0};
+    if (!work_init(&s, n, 0)) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (!read_entries(seq, s.p, n))
+        goto done;
+    if (!encode_core(&s, k)) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if ((w_obj = letters_of(s.w, n)) && (wp_obj = letters_of(s.w + n, n)))
+        result = PyTuple_Pack(2, w_obj, wp_obj);
 done:
-    floor_free(&f);
-    Py_XDECREF(w);
-    Py_XDECREF(wp);
-    PyMem_Free(p);
-    PyMem_Free(mask);
+    work_free(&s);
+    Py_XDECREF(w_obj);
+    Py_XDECREF(wp_obj);
     Py_DECREF(seq);
     return result;
 }
@@ -745,54 +838,24 @@ pop(Py_ssize_t *sorted, Py_ssize_t *count, Py_ssize_t at)
     return v;
 }
 
-/* Read n letters, each at least 0; set an exception and return 0 otherwise. */
+enum { NO_MEMORY = -1, STUCK, FILLED };
+
 static int
-read_letters(PyObject *seq, long long *out)
+stuck(const char **why, const char *message)
 {
-    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
-        out[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, i));
-        if (out[i] == -1 && PyErr_Occurred())
-            return 0;
-        if (out[i] < 0) {
-            PyErr_SetString(PyExc_ValueError, "letters must not be negative");
-            return 0;
-        }
-    }
-    return 1;
+    *why = message;
+    return STUCK;
 }
 
-static PyObject *
-decode_fill(PyObject *self, PyObject *args)
+/* The greedy fill of the code in s->w, n letters a word, none negative, for k in
+ * 3..MAX_K, into s->out: FILLED, STUCK with *why the NotInImage message, or NO_MEMORY. */
+static int
+fill_core(Work *s, long long k, const char **why)
 {
-    PyObject *w_obj, *wp_obj, *w_seq = NULL, *wp_seq = NULL, *result = NULL;
-    long long k, *w = NULL;
-    Py_ssize_t *out = NULL;
-    Floor f = {0};
-    if (!PyArg_ParseTuple(args, "OOL:decode_fill", &w_obj, &wp_obj, &k))
-        return NULL;
-    if (k < 3 || k > MAX_K)
-        return PyErr_Format(PyExc_OverflowError,
-                            "the compiled decode takes k in 3..2**62, got %lld", k);
-    if (!(w_seq = PySequence_Fast(w_obj, "w must be a sequence"))
-        || !(wp_seq = PySequence_Fast(wp_obj, "wp must be a sequence")))
-        goto done;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(w_seq);
-    if (PySequence_Fast_GET_SIZE(wp_seq) != n) {
-        PyErr_SetString(PyExc_ValueError, "the two words must have one length");
-        goto done;
-    }
-    /* the letters by position and by value, and the levels */
-    w = PyMem_Malloc((3 * n + 1) * sizeof(long long));
-    /* the output, one level's slots, its marked values and its other values */
-    out = PyMem_Malloc((4 * n + 1) * sizeof(Py_ssize_t));
-    if (!w || !out) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    long long *wp = w + n, *levels = wp + n;
-    Py_ssize_t *slots = out + n, *marked = slots + n, *pool = marked + n, distinct = 0;
-    if (!read_letters(w_seq, w) || !read_letters(wp_seq, wp))
-        goto done;
+    const long long *w = s->w, *wp = w + s->n;
+    long long *levels = s->levels;
+    Py_ssize_t n = s->n, *out = s->out, *slots = s->slots, *marked = s->marked, *pool = s->pool;
+    Py_ssize_t distinct = 0;
     for (Py_ssize_t i = 0; i < n; i++) {
         out[i] = 0;
         levels[i] = level_of(w[i], k);
@@ -817,18 +880,16 @@ decode_fill(PyObject *self, PyObject *args)
                 else if (wp[v - 1] == offset)
                     pool[unmarked++] = v;
             }
-            for (Py_ssize_t s = count; s-- > 0;) {
-                Py_ssize_t i = slots[s];
+            for (Py_ssize_t x = count; x-- > 0;) {
+                Py_ssize_t i = slots[x];
                 if (w[i] != offset) {
                     if (next == marks)
-                        goto unequal;
+                        return stuck(why, "the two words must share one letter multiset");
                     limit = out[i] = marked[next++];
                     continue;
                 }
-                if ((at = bisect(pool, unmarked, limit, 0) - 1) < 0) {
-                    not_in_image("no unmarked value fits below the next maximum");
-                    goto done;
-                }
+                if ((at = bisect(pool, unmarked, limit, 0) - 1) < 0)
+                    return stuck(why, "no unmarked value fits below the next maximum");
                 out[i] = pop(pool, &unmarked, at);
             }
         } else if (level % 2 == 0) {
@@ -844,18 +905,16 @@ decode_fill(PyObject *self, PyObject *args)
                 else if (wp[v - 1] == offset + 2)
                     pool[unmarked++] = v;
             }
-            for (Py_ssize_t s = 0; s < count; s++) {
-                Py_ssize_t i = slots[s];
+            for (Py_ssize_t x = 0; x < count; x++) {
+                Py_ssize_t i = slots[x];
                 if (w[i] != offset + 2) {
                     if (!marks)
-                        goto unequal;
+                        return stuck(why, "the two words must share one letter multiset");
                     minimum = out[i] = marked[--marks];
                     continue;
                 }
-                if ((at = bisect(pool, unmarked, minimum, 1)) >= unmarked) {
-                    not_in_image("no unmarked value stays above the running minimum");
-                    goto done;
-                }
+                if ((at = bisect(pool, unmarked, minimum, 1)) >= unmarked)
+                    return stuck(why, "no unmarked value stays above the running minimum");
                 out[i] = pop(pool, &unmarked, at);
             }
         } else {
@@ -863,41 +922,328 @@ decode_fill(PyObject *self, PyObject *args)
             for (Py_ssize_t i = 0; i < n; i++)
                 if (w[i] >= offset)
                     slots[count++] = i;
-            if (level - 1 > count) {  /* also keeps a huge level from building its floor */
-                not_in_image("too few entries to start the required pattern");
-                goto done;
-            }
+            if (level - 1 > count)  /* also keeps a huge level from building its floor */
+                return stuck(why, "too few entries to start the required pattern");
             for (Py_ssize_t v = 1; v <= n; v++)
                 if (wp[v - 1] == offset)
                     pool[unmarked++] = v;
-            if (!floor_init(&f, (Py_ssize_t)level - 2))
-                goto done;
-            for (Py_ssize_t s = count; s-- > 0;) {
-                Py_ssize_t i = slots[s];
+            if (!floor_init(&s->f, (Py_ssize_t)level - 2))
+                return NO_MEMORY;
+            for (Py_ssize_t x = count; x-- > 0;) {
+                Py_ssize_t i = slots[x];
                 if (w[i] == offset) {
-                    if ((at = bisect(pool, unmarked, f.floors[0], 0) - 1) < 0) {
-                        not_in_image("no remaining value starts the required pattern here");
-                        goto done;
-                    }
+                    if ((at = bisect(pool, unmarked, s->f.floors[0], 0) - 1) < 0)
+                        return stuck(why, "no remaining value starts the required pattern here");
                     out[i] = pop(pool, &unmarked, at);
                 }
-                if (!floor_push(&f, out[i]))
-                    goto done;
+                if (!floor_push(&s->f, out[i]))
+                    return NO_MEMORY;
             }
-            floor_free(&f);
-            f = (Floor){0};
         }
     }
-    result = tuple_of(out, n);
-    goto done;
-unequal:  /* a marked letter has more slots than values */
-    not_in_image("the two words must share one letter multiset");
+    return FILLED;
+}
+
+/* Read n letters, each at least 0; set an exception and return 0 otherwise. */
+static int
+read_letters(PyObject *seq, long long *out)
+{
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+        out[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, i));
+        if (out[i] == -1 && PyErr_Occurred())
+            return 0;
+        if (out[i] < 0) {
+            PyErr_SetString(PyExc_ValueError, "letters must not be negative");
+            return 0;
+        }
+    }
+    return 1;
+}
+
+static PyObject *
+decode_fill(PyObject *self, PyObject *args)
+{
+    PyObject *w_obj, *wp_obj, *w_seq = NULL, *wp_seq = NULL, *result = NULL;
+    long long k;
+    Work s = {0};
+    if (!PyArg_ParseTuple(args, "OOL:decode_fill", &w_obj, &wp_obj, &k))
+        return NULL;
+    if (k < 3 || k > MAX_K)
+        return PyErr_Format(PyExc_OverflowError,
+                            "the compiled decode takes k in 3..2**62, got %lld", k);
+    if (!(w_seq = PySequence_Fast(w_obj, "w must be a sequence"))
+        || !(wp_seq = PySequence_Fast(wp_obj, "wp must be a sequence")))
+        goto done;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(w_seq);
+    if (PySequence_Fast_GET_SIZE(wp_seq) != n) {
+        PyErr_SetString(PyExc_ValueError, "the two words must have one length");
+        goto done;
+    }
+    if (!work_init(&s, n, 0)) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (!read_letters(w_seq, s.w) || !read_letters(wp_seq, s.w + n))
+        goto done;
+    const char *why;
+    switch (fill_core(&s, k, &why)) {
+    case FILLED:
+        result = tuple_of(s.out, n);
+        break;
+    case STUCK:
+        not_in_image(why);
+        break;
+    default:
+        PyErr_NoMemory();
+    }
 done:
-    floor_free(&f);
-    PyMem_Free(w);
-    PyMem_Free(out);
+    work_free(&s);
     Py_XDECREF(w_seq);
     Py_XDECREF(wp_seq);
+    return result;
+}
+
+/* ---------------------------------------------------------------------------
+ * verify_shard: the sweep of permcodec._pure.verify_shard. It walks the
+ * avoiders of q as _pure.avoiders does (prefix DFS in lexicographic order,
+ * one search per new entry for an occurrence ending at it), kept on explicit
+ * stacks instead of recursion, and sends each avoider through the two cores,
+ * the round-trip compare, the word check of permcodec.words.validate_word on
+ * both words and, for an even k, the first-letter check. It runs without the
+ * GIL and keeps its example permutations in C buffers until it has it back.
+ */
+
+enum { ROUND_TRIP, IMAGE, FIRST_LETTER, DEFECTS };
+
+typedef struct {
+    Py_ssize_t *data;  /* count permutations of n entries each */
+    Py_ssize_t count, room;
+} Found;
+
+typedef struct {
+    Py_ssize_t kq, n, first, cap;
+    long long k, bottom, top;  /* the codec's k and its alphabet bottom..top */
+    int check_first, failed;
+    Py_ssize_t *q, *lo, *hi;   /* the walked pattern and its window providers */
+    Py_ssize_t *chosen, *at;   /* the search: one value and the next position per slot */
+    Py_ssize_t *prefix, *next; /* the walk: the avoider so far (work.p) and the next value per depth */
+    char *used;
+    Work work;
+    unsigned long long total, counts[DEFECTS];
+    Found found[DEFECTS];
+} Shard;
+
+/* Window providers for the walk's slot order kq-1, 0, 1, ..., kq-2; see _pure._bounds. */
+static void
+walk_bounds(Shard *s)
+{
+    Py_ssize_t kq = s->kq, *q = s->q, *lo = s->lo, *hi = s->hi;
+    for (Py_ssize_t a = 0; a < kq; a++) {
+        lo[a] = hi[a] = -1;
+        for (Py_ssize_t b = -1; a < kq - 1 && b < a; b++) {
+            Py_ssize_t seen = b < 0 ? kq - 1 : b;  /* slot kq-1 is assigned first */
+            if (q[seen] < q[a] && (lo[a] < 0 || q[seen] > q[lo[a]]))
+                lo[a] = seen;
+            else if (q[seen] > q[a] && (hi[a] < 0 || q[seen] < q[hi[a]]))
+                hi[a] = seen;
+        }
+    }
+}
+
+/* Whether slots 0..last fit increasing positions of prefix[0..stop) within their
+ * windows, slot kq-1 being chosen already: _pure._search on a stack. */
+static int
+search(Shard *s, Py_ssize_t last, Py_ssize_t stop)
+{
+    Py_ssize_t a = 0, *at = s->at, *chosen = s->chosen;
+    at[0] = 0;
+    while (a >= 0) {
+        Py_ssize_t i = at[a];
+        if (i >= stop - (last - a)) {  /* slot a is out of positions: back to slot a - 1 */
+            a--;
+            continue;
+        }
+        at[a] = i + 1;
+        Py_ssize_t v = s->prefix[i], la = s->lo[a], ha = s->hi[a];
+        if ((la >= 0 && chosen[la] >= v) || (ha >= 0 && chosen[ha] <= v))
+            continue;
+        chosen[a] = v;
+        if (a == last)
+            return 1;
+        at[++a] = i + 1;
+    }
+    return 0;
+}
+
+/* permcodec.words.validate_word for the family of k. */
+static int
+word_ok(const Shard *s, const long long *word)
+{
+    long long before = 0;  /* no letter is -1, so the first one ends no factor */
+    for (Py_ssize_t i = 0; i < s->n; i++) {
+        long long x = word[i];
+        if (x < s->bottom || x > s->top || (x == before - 1 && x % 3 == 2))
+            return 0;
+        before = x;
+    }
+    return 1;
+}
+
+/* Encode, fill and check the avoider in s->prefix. */
+static void
+check(Shard *s)
+{
+    Py_ssize_t n = s->n;
+    long long *w = s->work.w, *wp = w + n;
+    const char *why;
+    s->total++;
+    if (!encode_core(&s->work, s->k)) {
+        s->failed = 1;
+        return;
+    }
+    int filled = fill_core(&s->work, s->k, &why);
+    if (filled == NO_MEMORY) {
+        s->failed = 1;
+        return;
+    }
+    int bad[DEFECTS] = {
+        [ROUND_TRIP] = filled == STUCK || memcmp(s->work.out, s->prefix, n * sizeof(Py_ssize_t)),
+        [IMAGE] = !word_ok(s, w) || !word_ok(s, wp),
+        [FIRST_LETTER] = s->check_first && !(w[0] == 1 && wp[0] == 1),
+    };
+    for (int x = 0; x < DEFECTS; x++) {
+        Found *f = &s->found[x];
+        if (!bad[x])
+            continue;
+        s->counts[x]++;
+        if (f->count == s->cap)
+            continue;
+        if (f->count == f->room) {
+            Py_ssize_t room = f->room ? 2 * f->room : 4;
+            Py_ssize_t *data = PyMem_RawRealloc(f->data, (room * n + 1) * sizeof(Py_ssize_t));
+            if (!data) {
+                s->failed = 1;
+                return;
+            }
+            f->data = data;
+            f->room = room;
+        }
+        memcpy(f->data + f->count++ * n, s->prefix, n * sizeof(Py_ssize_t));
+    }
+}
+
+/* Check every length-n avoider of q, kq >= 2 and n >= 1, in lexicographic order. */
+static void
+walk(Shard *s)
+{
+    Py_ssize_t n = s->n, kq = s->kq, d = 0;
+    s->next[0] = s->first ? s->first : 1;
+    while (d >= 0 && !s->failed) {
+        Py_ssize_t v = s->next[d], high = d == 0 && s->first ? s->first : n;
+        if (v > high) {  /* depth d is done: free the entry before it */
+            if (--d >= 0)
+                s->used[s->prefix[d]] = 0;
+            continue;
+        }
+        s->next[d] = v + 1;
+        if (s->used[v])
+            continue;
+        s->prefix[d] = v;
+        s->chosen[kq - 1] = v;
+        if (kq <= d + 1 && search(s, kq - 2, d))
+            continue;  /* q occurs ending at v */
+        if (d + 1 == n) {
+            check(s);
+            continue;
+        }
+        s->used[v] = 1;
+        s->next[++d] = 1;
+    }
+}
+
+static PyObject *
+found_tuple(const Found *f, Py_ssize_t n)
+{
+    PyObject *t = PyTuple_New(f->count);
+    for (Py_ssize_t x = 0; t && x < f->count; x++) {
+        PyObject *p = tuple_of(f->data + x * n, n);
+        if (!p)
+            Py_CLEAR(t);
+        else
+            PyTuple_SET_ITEM(t, x, p);
+    }
+    return t;
+}
+
+static PyObject *
+verify_shard(PyObject *self, PyObject *args)
+{
+    PyObject *q_obj, *seq, *found[DEFECTS] = {NULL}, *result = NULL;
+    Shard s = {0};
+    if (!PyArg_ParseTuple(args, "OLnnn:verify_shard", &q_obj, &s.k, &s.n, &s.first, &s.cap))
+        return NULL;
+    if (s.k < 3 || s.k > MAX_K)
+        return PyErr_Format(PyExc_ValueError, "the compiled sweep takes k in 3..2**62, got %lld",
+                            s.k);
+    if (s.n < 0 || s.first < 0 || s.first > s.n || s.cap < 0)
+        return PyErr_Format(PyExc_ValueError,
+                            "the compiled sweep takes 0 <= first <= n and cap >= 0");
+    if (!(seq = PySequence_Fast(q_obj, "q must be a sequence")))
+        return NULL;
+    Py_ssize_t kq = s.kq = PySequence_Fast_GET_SIZE(seq), n = s.n;
+    s.q = PyMem_RawCalloc(5 * kq + n + 1, sizeof(Py_ssize_t));
+    s.used = PyMem_RawCalloc(n + 1, 1);
+    if (!s.q || !s.used || !work_init(&s.work, n, 1)) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    s.lo = s.q + kq;
+    s.hi = s.lo + kq;
+    s.chosen = s.hi + kq;
+    s.at = s.chosen + kq;
+    s.next = s.at + kq;
+    s.prefix = s.work.p;
+    if (!read_entries(seq, s.q, kq))
+        goto done;
+    for (Py_ssize_t a = 0; a < kq; a++) {  /* chosen tallies q's entries until the walk */
+        if (s.chosen[s.q[a] - 1]++) {
+            PyErr_SetString(PyExc_ValueError, "q must be a permutation of 1..len(q)");
+            goto done;
+        }
+    }
+    long long m = (s.k + 1) / 2;  /* the word family of k, as WordFamily.for_pattern_length */
+    s.bottom = s.k % 2 == 0;
+    s.top = s.k % 2 ? 3 * m - 5 : 3 * m - 2;
+    s.check_first = s.k % 2 == 0 && n >= 1;
+    Py_BEGIN_ALLOW_THREADS
+    if (kq == 0 || (kq == 1 && n > 0))
+        ;  /* () occurs in every permutation, (1) in every nonempty one */
+    else if (n == 0)
+        check(&s);
+    else {
+        walk_bounds(&s);
+        walk(&s);
+    }
+    Py_END_ALLOW_THREADS
+    if (s.failed) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (int x = 0; x < DEFECTS; x++)
+        if (!(found[x] = found_tuple(&s.found[x], n)))
+            goto done;
+    result = Py_BuildValue("K(KKK)(OOO)", s.total, s.counts[ROUND_TRIP], s.counts[IMAGE],
+                           s.counts[FIRST_LETTER], found[ROUND_TRIP], found[IMAGE],
+                           found[FIRST_LETTER]);
+done:
+    for (int x = 0; x < DEFECTS; x++) {
+        Py_XDECREF(found[x]);
+        PyMem_RawFree(s.found[x].data);
+    }
+    work_free(&s.work);
+    PyMem_RawFree(s.q);
+    PyMem_RawFree(s.used);
+    Py_DECREF(seq);
     return result;
 }
 
@@ -908,19 +1254,25 @@ static PyMethodDef methods[] = {
     {"decode_fill", decode_fill, METH_VARARGS, "The greedy fill of the code (w, wp)."},
     {"staircase_floor", staircase_floor, METH_VARARGS,
      "The floor of the length-k staircase over p; 0 iff p avoids it."},
+    {"verify_shard", verify_shard, METH_VARARGS,
+     "The round-trip, image and first-letter defects of q's avoiders under the code for k."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_ext", "Compiled avoider count and codec passes for permcodec.kernels.",
-    -1, methods,
+    PyModuleDef_HEAD_INIT, "_ext",
+    "Compiled avoider count, codec passes and verify sweep for permcodec.kernels.", -1, methods,
 };
 
 PyMODINIT_FUNC
 PyInit__ext(void)
 {
-    PyObject *m = PyModule_Create(&module);
-    if (m && PyModule_AddStringConstant(m, "BACKEND", "compiled") < 0)
+    PyObject *m = PyModule_Create(&module), *crc = NULL;
+    if (!m || PyModule_AddStringConstant(m, "BACKEND", "compiled") < 0
+        || !(crc = PyLong_FromUnsignedLong(SOURCE_CRC32))
+        || PyModule_AddObject(m, "SOURCE_CRC32", crc) < 0) {
+        Py_XDECREF(crc);
         Py_CLEAR(m);
+    }
     return m;
 }

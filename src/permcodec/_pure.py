@@ -1,15 +1,16 @@
-"""Pure-Python kernels: the pattern searches and the codec's level passes.
+"""Pure-Python kernels: the pattern searches, the codec's level passes and the verify sweep.
 
 Reference implementation of the inner loops. ``permcodec._ext``
 (``_ext.c``) compiles ``count_avoiders_dfs``, the memoized count engine,
-and the codec's three level passes, ``encode_levels``, ``decode_fill`` and
-``staircase_floor``, with the same algorithms; ``first_occurrence`` and
-``avoiders``, the walk that yields every avoider, exist only here and serve
-both backends. ``permcodec.kernels`` answers a count with ``len(q) < 2`` or
-``n < len(q)`` before either engine starts. Haystacks may be any sequences
-of distinct integers; patterns are permutations of 1..k. ``first_occurrence`` returns
-1-based indices, as every witness in the package is; inside the searches
-positions are 0-based.
+the codec's three level passes, ``encode_levels``, ``decode_fill`` and
+``staircase_floor``, and ``verify_shard``, the sweep that walks one shard's
+avoiders as ``avoiders`` does and encodes, fills and checks each, with the
+same algorithms. ``first_occurrence`` and ``avoiders``, the walk that yields
+every avoider, exist only here and serve both backends. ``permcodec.kernels``
+answers a count with ``len(q) < 2`` or ``n < len(q)`` before either engine
+starts. Haystacks may be any sequences of distinct integers; patterns are
+permutations of 1..k. ``first_occurrence`` returns 1-based indices, as every
+witness in the package is; inside the searches positions are 0-based.
 
 The searches assign pattern slots one at a time and prune by value windows:
 once some slots are fixed, the value for the next slot must lie strictly
@@ -28,6 +29,7 @@ from typing import Iterator, Sequence
 from permcodec.coloring import canonical_coloring
 from permcodec.errors import NotInImage
 from permcodec.perms import StaircaseFloor, lr_minima, rl_maxima, split_by_mask
+from permcodec.words import WordFamily, validate_word
 
 BACKEND = "pure"
 
@@ -318,10 +320,13 @@ def decode_fill(w: Sequence[int], wp: Sequence[int], k: int) -> tuple[int, ...]:
     own. Raises NotInImage where the fill gets stuck, as where a letter has
     more slots than values: every letter of the alphabet for k feeds one
     pool, so two words over it whose letter multisets differ never fill.
+    Two words of different lengths raise ValueError.
 
     >>> decode_fill((1, 2, 1, 2, 2, 3, 4), (1, 2, 1, 3, 4, 2, 2), 4)
     (3, 6, 1, 2, 7, 4, 5)
     """
+    if len(w) != len(wp):
+        raise ValueError("the two words must have one length")
     out = [0] * len(w)
     for level in sorted({_level(x, k) for x in w}):  # a level without letters fills nothing
         offset = _offset(level, k)
@@ -374,3 +379,44 @@ def decode_fill(w: Sequence[int], wp: Sequence[int], k: int) -> tuple[int, ...]:
                     out[i] = inserted.pop(at)
                 floor.push(out[i])
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the verify sweep
+
+
+def verify_shard(q: Sequence[int], k: int, n: int, first: int, cap: int) -> tuple:
+    """Encode, fill and check every length-n avoider of q whose first entry is ``first``.
+
+    ``first`` 0 takes every avoider. Each avoider p gets the code of
+    ``encode_levels(p, k)``, and counts as a round-trip defect when
+    ``decode_fill`` does not give p back, an image defect when a word is
+    not in the word family for k, and, for an even k, a first-letter defect
+    when a word does not start with 1. Returns (total, counts, examples):
+    counts and examples list the round-trip, image and first-letter defects
+    in that order, with the first ``cap`` defective avoiders of each.
+
+    >>> verify_shard((1, 3, 2, 4), 4, 4, 1, 10)
+    (5, (0, 0, 0), ((), (), ()))
+    """
+    family = WordFamily.for_pattern_length(k)
+    check_first = k % 2 == 0 and n >= 1
+    total, counts, found = 0, [0, 0, 0], ([], [], [])
+    for p in avoiders(q, n, first):
+        total += 1
+        w, wp = encode_levels(p, k)
+        try:
+            back = decode_fill(w, wp, k)
+        except NotInImage:
+            back = None
+        defects = (
+            back != p,
+            not (validate_word(w, family) and validate_word(wp, family)),
+            check_first and not (w[0] == 1 and wp[0] == 1),
+        )
+        for x, bad in enumerate(defects):
+            if bad:
+                counts[x] += 1
+                if len(found[x]) < cap:
+                    found[x].append(p)
+    return total, tuple(counts), tuple(map(tuple, found))

@@ -5,11 +5,13 @@ extended value by value and abandoned as soon as it contains the pattern, so
 each extension only needs a check for occurrences ending at the new entry.
 Counting does not walk the avoiders: it memoizes completion counts on
 reduced prefix states. Both live in the search kernels (``kernels.avoiders``
-yields the avoiders, ``kernels.count_avoiders_dfs`` counts them); this module
-adds budget guards, sharding of verification by first entry for parallel
-runs, the persistent count cache, the two sweep reports, and the staircase
-counts behind the bound table. One engine call answers every length 0..n of
-a pattern, so a count, each class of a scan and a whole bound table cost one.
+yields the avoiders, ``kernels.count_avoiders_dfs`` counts them), and so does
+the verify sweep (``kernels.verify_shard`` walks one shard's avoiders and
+encodes, fills and checks each, compiled or pure); this module adds budget
+guards, sharding of verification by first entry for parallel runs, the
+persistent count cache, the two sweep reports, and the staircase counts
+behind the bound table. One engine call answers every length 0..n of a
+pattern, so a count, each class of a scan and a whole bound table cost one.
 
 Every operation charges the budget up front, once per engine call: the
 injective-prefix bound sum_j n!/(n-j)!, which ignores pruning on purpose, so
@@ -29,7 +31,7 @@ from typing import Iterator, Mapping
 
 from permcodec import kernels
 from permcodec.cache import CacheStore
-from permcodec.errors import DomainError, NotInImage, ScaleRefused
+from permcodec.errors import DomainError, ScaleRefused
 from permcodec.perms import (
     Perm,
     format_permutation,
@@ -39,12 +41,14 @@ from permcodec.perms import (
     symmetry_orbit,
     validate_permutation,
 )
-from permcodec.words import WordFamily, validate_word
 
 DEFAULT_NODE_BUDGET = 10**9
 
 #: examples retained per failure category in a VerificationReport
 EXAMPLE_CAP = 10
+
+#: the defects a verify shard counts, in the order kernels.verify_shard reports them
+SHARD_DEFECTS = ("round_trip", "image", "first_letter")
 
 
 def require_length(n: int) -> None:
@@ -169,31 +173,9 @@ class VerificationReport:
         return {**record, "passed": self.passed, "examples": examples}
 
 
-def _verify_shard(args: tuple[int, int, int]) -> dict:
-    k, n, first = args
-    family = WordFamily.for_pattern_length(k)
-    check_first = k % 2 == 0 and n >= 1
-    counts = {"round_trip": 0, "image": 0, "first_letter": 0}
-    examples: dict[str, list[str]] = {key: [] for key in counts}
-    total = 0
-    for p in kernels.avoiders(staircase_pattern(k), n, first):
-        total += 1
-        w, wp = kernels.encode_levels(p, k)
-        try:
-            back = kernels.decode_fill(w, wp, k)
-        except NotInImage:
-            back = None
-        failed = {
-            "round_trip": back != p,
-            "image": not (validate_word(w, family) and validate_word(wp, family)),
-            "first_letter": check_first and not (w[0] == 1 and wp[0] == 1),
-        }
-        for key, bad in failed.items():
-            if bad:
-                counts[key] += 1
-                if len(examples[key]) < EXAMPLE_CAP:
-                    examples[key].append(format_permutation(p))
-    return {"total": total, "counts": counts, "examples": examples}
+def _verify_shard(args: tuple) -> tuple:
+    """kernels.verify_shard(*args), by a name that a pool worker can unpickle."""
+    return kernels.verify_shard(*args)
 
 
 def verify_injection(
@@ -216,19 +198,20 @@ def verify_injection(
         raise ScaleRefused(f"verification is limited to pattern lengths 3..8, got {k}")
     require_length(n)
     _ensure_budget(n, budget, f"verifying the encoder at n={n}")
+    q = staircase_pattern(k)
     # one shard per first entry; n = 0 has one shard, the empty permutation
-    shard_args = [(k, n, first) for first in range(1, n + 1)] or [(k, n, 0)]
-    counts = {"round_trip": 0, "image": 0, "first_letter": 0, "duplicate": 0}
+    shard_args = [(q, k, n, first, EXAMPLE_CAP) for first in range(1, n + 1) or [0]]
+    counts = dict.fromkeys([*SHARD_DEFECTS, "duplicate"], 0)
     examples: dict[str, list[str]] = {key: [] for key in counts}
     total = 0
-    for shard in _map_shards(_verify_shard, shard_args, jobs):
-        total += shard["total"]
-        for key, count in shard["counts"].items():
+    for shard_total, shard_counts, shard_found in _map_shards(_verify_shard, shard_args, jobs):
+        total += shard_total
+        for key, count, found in zip(SHARD_DEFECTS, shard_counts, shard_found):
             counts[key] += count
-            examples[key].extend(shard["examples"][key])
+            examples[key].extend(map(format_permutation, found))
     if counts["round_trip"]:  # a decoder that inverts every code proves them distinct
         seen: dict[tuple, str] = {}
-        for p in kernels.avoiders(staircase_pattern(k), n):
+        for p in kernels.avoiders(q, n):
             text = format_permutation(p)
             first = seen.setdefault(kernels.encode_levels(p, k), text)
             if first != text:

@@ -1,33 +1,50 @@
-"""Kernel selection: the compiled count and codec passes when built, pure Python otherwise.
+"""Kernel selection: the compiled kernels when built from the source beside them, pure Python otherwise.
 
 ``permcodec._ext``, built from ``_ext.c``, compiles the memoized count
-engine (see ``_pure.count_avoiders_dfs``) and the codec's three level
-passes: the per-level encode, the greedy decode fill and the staircase
-floor (see ``_pure.encode_levels``, ``decode_fill`` and ``staircase_floor``).
-Each backend runs the same algorithms, so counts and codes agree bit for
-bit. The avoider walk behind ``verify`` yields Python tuples, and the
-occurrence search names an encode's witness and backs ``perms.avoids`` (a
-scan's ``is_layered``), so both are the pure ones on either backend.
+engine (see ``_pure.count_avoiders_dfs``), the codec's three level passes
+(the per-level encode, the greedy decode fill and the staircase floor; see
+``_pure.encode_levels``, ``decode_fill`` and ``staircase_floor``) and the
+verify sweep (``_pure.verify_shard``), which walks one shard's avoiders and
+encodes, fills and checks each. Each backend runs the same algorithms, so
+counts, codes and sweep reports agree bit for bit. The avoider walk behind
+``enumerate_avoiders`` yields Python tuples, and the occurrence search names
+an encode's witness and backs ``perms.avoids`` (a scan's ``is_layered``), so
+both are the pure ones on either backend.
 
 Set PERMCODEC_PURE=1 to force the pure backend; the README's recipe for
 timing the two implementations runs the benchmark once with it and once
-without.
+without. A build is used only if it was built from the ``_ext.c`` beside this
+file, when there is one (a source checkout): the module's ``SOURCE_CRC32``
+must equal the CRC-32 of that file. A stale build falls back to the pure
+backend, and ``BACKEND`` (``permcodec.kernel_backend()``) then reads "pure".
+An installed package has no ``_ext.c`` beside it and skips the check.
 """
 
 import os
+import zlib
 from math import factorial
 
 from permcodec import _pure
 from permcodec.errors import NotInImage
 
-if os.environ.get("PERMCODEC_PURE"):
-    _impl = _pure
-else:
-    try:
-        from permcodec import _ext as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pure
 
+def _select():
+    """The compiled kernels if built, fresh and not turned off; the pure ones otherwise."""
+    if os.environ.get("PERMCODEC_PURE"):
+        return _pure
+    try:
+        from permcodec import _ext
+    except ImportError:
+        return _pure
+    try:
+        with open(os.path.join(os.path.dirname(__file__), "_ext.c"), "rb") as source:
+            crc = zlib.crc32(source.read())
+    except FileNotFoundError:  # an installed package ships no source
+        return _ext
+    return _ext if getattr(_ext, "SOURCE_CRC32", None) == crc else _pure
+
+
+_impl = _select()
 BACKEND = _impl.BACKEND
 first_occurrence = _pure.first_occurrence
 avoiders = _pure.avoiders
@@ -69,3 +86,9 @@ def decode_fill(w, wp, k: int) -> tuple[int, ...]:
 def staircase_floor(p, k: int) -> int:
     """The floor of the length-k staircase over p, a permutation, k >= 3: 0 iff p avoids it."""
     return _impl.staircase_floor(p, _lowered(k, len(p)))
+
+
+def verify_shard(q, k: int, n: int, first: int, cap: int):
+    """(total, defect counts, defect examples) of the length-n avoiders of q whose first
+    entry is ``first`` (0: any) under the code for k; see ``_pure.verify_shard``."""
+    return _impl.verify_shard(q, k, n, first, cap)

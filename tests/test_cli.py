@@ -455,7 +455,7 @@ _CLI_WITH_START_METHOD = (
 )
 @pytest.mark.parametrize("method", [None, "fork", "forkserver", "spawn"])
 def test_pool_workers_exit_when_the_cli_is_killed(tmp_path, method):
-    verify = ["verify", "--k", "6", "-n", "10", "--jobs", "2"]  # runs for minutes
+    verify = ["verify", "--k", "6", "-n", "11", "--jobs", "2"]  # runs for tens of seconds
     if method is None:  # the interpreter's default start method
         argv = [sys.executable, "-m", "permcodec", *verify]
     else:

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from conftest import with_cache
-from permcodec import cli, enumeration, kernels
+from permcodec import _pure, cli, enumeration, kernels
 from permcodec.cache import CacheStore
 from permcodec.codec import decode_avoider
 from permcodec.enumeration import (
@@ -199,12 +199,14 @@ def test_verify_injection_reports_code_collisions(monkeypatch, victims):
     k, n = 4, 5
     avoiders = list(enumerate_avoiders(staircase_pattern(k), n))
     target, collide = avoiders[7], set(avoiders[20:20 + victims])
-    real = kernels.encode_levels
+    real = _pure.encode_levels
 
     def colliding(p, k):
         return real(target if p in collide else p, k)
 
-    monkeypatch.setattr(kernels, "encode_levels", colliding)
+    # the pure sweep calls _pure.encode_levels, which the compiled one never does
+    monkeypatch.setattr(kernels, "_impl", _pure)
+    monkeypatch.setattr(_pure, "encode_levels", colliding)
     report = verify_injection(k, n, jobs=1)
 
     round_trip_failures = 0

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import os
 import random
 import shutil
 import subprocess
@@ -14,10 +15,10 @@ from hypothesis import given, strategies as st
 import oracles
 from conftest import ROOT, build_ext, cli_env, skip_unless_buildable
 from permcodec import _pure, kernels
-from permcodec.enumeration import count_avoiders
+from permcodec.enumeration import count_avoiders, verify_injection
 from permcodec.errors import NotInImage
-from permcodec.perms import staircase_pattern
-from permcodec.words import WordFamily
+from permcodec.perms import staircase_pattern, symmetry_class
+from permcodec.words import WordFamily, validate_word
 
 
 def test_a_broken_extension_fails_the_build(tmp_path):
@@ -63,6 +64,32 @@ def test_compiled_backend_is_selected_by_default(ext):
 
 def test_env_variable_forces_pure_backend():
     assert backend_seen_by_a_child({"PERMCODEC_PURE": "1"}) == "pure"
+
+
+def test_a_build_of_other_source_goes_unused(tmp_path):
+    # kernels compares the build's SOURCE_CRC32 with the _ext.c beside it
+    skip_unless_buildable()
+    package = tmp_path / "src" / "permcodec"
+    shutil.copytree(ROOT / "src" / "permcodec", package,
+                    ignore=shutil.ignore_patterns("__pycache__", "_ext.*.so", "_ext.*.pyd"))
+    shutil.copy(ROOT / "setup.py", tmp_path)
+    build = build_ext(tmp_path, tmp_path)
+    built = list((tmp_path / "lib").glob("permcodec/_ext.*"))
+    assert built, build.stderr
+    shutil.copy(built[0], package)
+    env = {key: value for key, value in os.environ.items() if key != "PERMCODEC_PURE"}
+    env["PYTHONPATH"] = str(tmp_path / "src")
+
+    def backend():
+        return subprocess.run(
+            [sys.executable, "-c", "import permcodec; print(permcodec.kernel_backend())"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=True, timeout=60,
+        ).stdout.strip()
+
+    assert backend() == "compiled"
+    source = package / "_ext.c"
+    source.write_text(source.read_text() + "/* edited after the build */\n")
+    assert backend() == "pure"
 
 
 @given(p=perms(), q=perms(max_n=4))
@@ -209,6 +236,7 @@ def same_multiset_pairs(k, nmax):
 
 
 @pytest.mark.parametrize("k,nmax", [(3, 6), (4, 5), (5, 4), (6, 4)])
+@pytest.mark.parametrize("impl", ["compiled"], indirect=True)  # the pure fill is the reference
 def test_decode_outcomes_agree_with_the_pure_fill(impl, k, nmax):
     # the ranges of test_codec.test_decode_accepts_exactly_the_image
     for w, wp, want in same_multiset_pairs(k, nmax):
@@ -232,6 +260,12 @@ def test_fill_outcomes_agree_on_every_pair_of_words(ext, k, nmax):
             assert isinstance(want, str) or sorted(w) == sorted(wp), (w, wp)
     unequal = "the two words must share one letter multiset"
     assert fill_outcome(_pure.decode_fill, (1, 1), (1, 2), 4) == unequal
+
+
+def test_fills_refuse_words_of_two_lengths(impl):
+    for w, wp, k in [((1,), (0, 1), 3), ((1,), (1, 2), 4), ((1, 2), (1,), 4)]:
+        with pytest.raises(ValueError, match="one length"):
+            impl.decode_fill(w, wp, k)
 
 
 def decision(passes, w, wp, k):
@@ -328,6 +362,76 @@ def test_compiled_passes_refuse_what_would_leave_their_bounds(ext):
         _pure.decode_fill, (0,), (0,), huge) == "too few entries to start the required pattern"
 
 
+# ---------------------------------------------------------------------------
+# the verify sweep
+
+
+#: (q, k, n): the staircase sweeps of verify, then walks of other patterns, with k
+#: running over 3..8, whose avoiders may hold the staircase for k: their codes can
+#: fail to round-trip or leave the word family, so the defect counts and lists fill
+SWEEPS = [(staircase_pattern(k), k, n) for k in range(3, 9) for n in range(8)] + [
+    (q, 3 + (q[0] + n) % 6, n)
+    for q in [*permutations((1, 2, 3)), *permutations((1, 2, 3, 4)),
+              *sorted({symmetry_class(q) for q in permutations((1, 2, 3, 4, 5))})]
+    for n in range(7)
+]
+
+
+@functools.cache
+def reference_shard(q, k, n, first, cap):
+    """What a shard reports, from the pure passes in a loop of the test's own."""
+    family = WordFamily.for_pattern_length(k)
+    avoiders = list(_pure.avoiders(q, n, first))
+    found = ([], [], [])
+    for p in avoiders:
+        w, wp = _pure.encode_levels(p, k)
+        defects = (
+            fill_outcome(_pure.decode_fill, w, wp, k) != p,
+            not validate_word(w, family) or not validate_word(wp, family),
+            k % 2 == 0 and n > 0 and (w[0], wp[0]) != (1, 1),
+        )
+        for x in range(3):
+            if defects[x]:
+                found[x].append(p)
+    return len(avoiders), tuple(map(len, found)), tuple(tuple(f[:cap]) for f in found)
+
+
+def test_sweep_shards_report_what_the_pure_passes_find(impl):
+    defective = [0, 0, 0]
+    for q, k, n in SWEEPS:
+        for first in range(1, n + 1) or [0]:
+            cap = (k + n + first) % 4  # 0..3, below most defect counts
+            want = reference_shard(q, k, n, first, cap)
+            assert impl.verify_shard(q, k, n, first, cap) == want, (q, k, n, first)
+            for x, count in enumerate(want[1]):
+                defective[x] += count > 0
+            if q == staircase_pattern(k):
+                assert want[1] == (0, 0, 0), (k, n, first)
+    # an even-k code starts both words with 1 for any permutation, so no first-letter defects
+    assert defective[0] > 300 and defective[1] > 150 and defective[2] == 0
+
+
+def test_compiled_sweep_checks_every_avoider_at_k6_n9(ext, monkeypatch):
+    monkeypatch.setattr(kernels, "_impl", ext)
+    report = verify_injection(6, 9)
+    assert report.passed
+    assert report.total == kernels.count_avoiders_dfs(staircase_pattern(6), 9)[9] == 344839
+
+
+def test_compiled_sweep_refuses_bad_arguments(ext):
+    q = staircase_pattern(4)
+    for args in [(q, 2, 4, 0, 1), (q, 2**62 + 1, 4, 0, 1), (q, 4, -1, 0, 1), (q, 4, 4, 5, 1),
+                 (q, 4, 4, -1, 1), (q, 4, 4, 0, -1), ((1, 1), 4, 4, 0, 1), ((0, 1), 4, 4, 0, 1),
+                 ((1, 3), 4, 4, 0, 1)]:
+        with pytest.raises(ValueError):
+            ext.verify_shard(*args)
+    with pytest.raises(TypeError):
+        ext.verify_shard((1, "2"), 4, 4, 0, 1)
+    for q in [(), (1,)]:  # the walk's edge cases: () occurs everywhere, (1) in every nonempty one
+        for n in range(3):
+            assert ext.verify_shard(q, 4, n, 0, 1) == _pure.verify_shard(q, 4, n, 0, 1)
+
+
 def run_child(code, *args):
     out = subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True,
                          text=True, env=cli_env(), timeout=120)
@@ -358,13 +462,13 @@ pages = int(open("/proc/self/statm").read().split()[0])
 room = pages * resource.getpagesize() + 3 * 2**20
 resource.setrlimit(resource.RLIMIT_AS, (room, room))
 for run in (lambda: ext.encode_levels(p, 4), lambda: ext.decode_fill(ones, ones, 4),
-            lambda: ext.staircase_floor(p, 4)):
+            lambda: ext.staircase_floor(p, 4), lambda: ext.verify_shard((), 4, n, 0, 1)):
     try:
         run()
     except MemoryError:
         print("MemoryError")
 """
-    assert run_child(code, ext.__file__) == ["MemoryError"] * 3
+    assert run_child(code, ext.__file__) == ["MemoryError"] * 4
 
 
 @linux_only
@@ -393,3 +497,25 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
     after_1000, after_all = map(int, run_child(code, ext.__file__, ROOT / "tests"))
     assert after_all - after_1000 < 3 * 1024  # KiB
+
+
+@linux_only
+def test_compiled_sweeps_do_not_leak(ext):
+    # shards whose codes often fail, every defect kept as an example, and refused arguments
+    code = _LOAD_EXT + """\
+import resource
+shards = [((3, 4, 1, 2), 4), ((2, 3, 4, 1), 5), ((3, 4, 2, 1), 6)]
+for i in range(1200):
+    q, k = shards[i % len(shards)]
+    total, counts, found = ext.verify_shard(q, k, 7, 0, 2000)
+    assert counts[0] and list(map(len, found)) == list(counts)
+    try:
+        ext.verify_shard((1, 1), k, 7, 0, 10)
+    except ValueError:
+        pass
+    if i == 119:
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+    after_120, after_all = map(int, run_child(code, ext.__file__))
+    assert after_all - after_120 < 3 * 1024  # KiB
