@@ -1,7 +1,8 @@
 """Build shim: compiles the kernel extension ``permcodec._ext`` from C.
 
-The extension holds the memoized avoider count, the codec's level passes
-(encode, greedy decode fill, staircase floor) and the verify sweep, which
+The extension holds the memoized avoider count, the codec's encode and
+decode, each one call that checks its input and runs the level passes
+(encode, greedy decode fill, staircase floor), and the verify sweep, which
 walks each shard's avoiders and runs those passes and the checks on each.
 The package works without it (``permcodec.kernels`` falls back to the
 pure-Python twins in ``permcodec._pure``). So the extension is optional only

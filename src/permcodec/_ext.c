@@ -1,6 +1,7 @@
 /*
  * Compiled kernels for permcodec.kernels: the avoider count, the codec's
- * level passes and the verify sweep, which walks the avoiders and sends each
+ * encode and decode, each one call that checks its input and runs the level
+ * passes, and the verify sweep, which walks the avoiders and sends each
  * through those passes. setup.py passes SOURCE_CRC32, the CRC-32 of this
  * file, which the module exposes so that permcodec.kernels can tell a stale
  * build from a fresh one.
@@ -431,20 +432,23 @@ done:
 }
 
 /* ---------------------------------------------------------------------------
- * The codec's level passes and the verify sweep: encode_levels, decode_fill,
- * staircase_floor and verify_shard, ported one for one from their twins in
- * permcodec._pure (see those for the algorithms), so that codes, decode
- * outcomes and sweep reports are bit-exact. One encode core and one fill
- * core serve both the Python-facing passes and the sweep. The caller,
- * permcodec.codec, has checked that p is a permutation of 1..n and that every
- * letter is in the alphabet for k; these passes check only what keeps them
- * in bounds, and the fill owns the letter counts. Entries and letters are C
- * integers: permcodec.kernels lowers every k to at most 2n + 5 and turns away
- * letters past the lowered base level, so every level and offset fits 64 bits.
- * The cores report a failed allocation by their result, and the passes raise
- * MemoryError holding the GIL. The sweep runs them without the GIL, so their
- * buffers then come from PyMem_Raw*; under the GIL they come from PyMem_*,
- * whose small blocks are cheaper.
+ * The codec and the verify sweep: encode, decode, encode_levels and
+ * verify_shard, ported one for one from their twins in permcodec._pure (see
+ * those for the algorithms), so that codes, decode outcomes and sweep reports
+ * are bit-exact. Three cores, the staircase floor, the per-level encode and
+ * the greedy fill, serve every entry. encode and decode each do a whole codec
+ * operation: encode checks that p is a permutation of 1..n and runs the floor
+ * before it encodes; decode checks every letter against the alphabet of the
+ * caller's k, then fills, runs the floor over the fill and re-encodes it into
+ * scratch, and raises permcodec.errors.MalformedInput or NotInImage with the
+ * messages of its twin. encode_levels, the bare encode, serves verify's
+ * duplicate search. Entries and letters are C integers: permcodec.kernels
+ * lowers every k to at most 2n + 5, so every level and offset fits 64 bits,
+ * and it hands decode the caller's k only up to MAX_K. The cores report a
+ * failed allocation by their result, and the entries raise MemoryError
+ * holding the GIL. The sweep runs them without the GIL, so their buffers then
+ * come from PyMem_Raw*; under the GIL they come from PyMem_*, whose small
+ * blocks are cheaper.
  */
 
 #define MAX_K ((long long)1 << 62)
@@ -603,46 +607,11 @@ offset_of(long long level, long long k)
     return 3 * (k / 2 - level / 2);
 }
 
-static PyObject *
-staircase_floor(PyObject *self, PyObject *args)
-{
-    PyObject *p_obj, *seq, *result = NULL;
-    long long k;
-    if (!PyArg_ParseTuple(args, "OL:staircase_floor", &p_obj, &k))
-        return NULL;
-    if (k < 3)
-        return PyErr_Format(PyExc_ValueError, "staircase patterns start at length 3, got %lld", k);
-    if (!(seq = PySequence_Fast(p_obj, "p must be a sequence")))
-        return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    Py_ssize_t *p = PyMem_Malloc((n + 1) * sizeof(Py_ssize_t));
-    Floor f = {0};
-    if (!p) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    if (!read_entries(seq, p, INF - 1))
-        goto done;
-    if (k > n) {  /* a longer pattern never occurs */
-        result = PyLong_FromLong(0);
-        goto done;
-    }
-    int built = floor_init(&f, (Py_ssize_t)k);
-    for (Py_ssize_t i = n; built && i-- > 0;)
-        built = floor_push(&f, p[i]);
-    result = built ? PyLong_FromSsize_t(f.floors[0]) : PyErr_NoMemory();
-done:
-    floor_free(&f);
-    PyMem_Free(p);
-    Py_DECREF(seq);
-    return result;
-}
-
-/* The inputs, outputs and scratch of the encode and fill cores, for n entries. */
+/* The inputs, outputs and scratch of the cores, for n entries. */
 typedef struct {
     Py_ssize_t n;
     Py_ssize_t *p, *out;                  /* a permutation to encode, and a fill */
-    long long *w;                         /* a code: n letters by position, then n by value */
+    long long *w, *again;                 /* codes: n letters by position, then n by value */
     Py_ssize_t *rest, *values, *lo, *hi;  /* encode: the unlettered positions, their values, spans */
     Py_ssize_t *slots, *marked, *pool;    /* fill: one level's slots, its marked and other values */
     long long *levels;
@@ -657,7 +626,7 @@ work_init(Work *s, Py_ssize_t n, int raw)
 {
     s->n = n;
     s->f.raw = raw;
-    s->p = mem_resize(raw, NULL, 9 * n * sizeof(Py_ssize_t) + 3 * n * sizeof(long long) + n + 1);
+    s->p = mem_resize(raw, NULL, 9 * n * sizeof(Py_ssize_t) + 5 * n * sizeof(long long) + n + 1);
     if (!s->p)
         return 0;
     s->out = s->p + n;
@@ -669,7 +638,8 @@ work_init(Work *s, Py_ssize_t n, int raw)
     s->marked = s->slots + n;
     s->pool = s->marked + n;
     s->w = (long long *)(s->pool + n);
-    s->levels = s->w + 2 * n;
+    s->again = s->w + 2 * n;
+    s->levels = s->again + 2 * n;
     s->mask = (char *)(s->levels + n);
     return 1;
 }
@@ -703,12 +673,12 @@ color(const Py_ssize_t *values, Py_ssize_t count, char *red, Py_ssize_t *lo, Py_
     }
 }
 
-/* The code of s->p, n entries in 1..n, for k, into s->w. 0 on a failed allocation. */
+/* The code of p, n entries in 1..n, for k, into w (2n letters). 0 on a failed allocation. */
 static int
-encode_core(Work *s, long long k)
+encode_core(Work *s, const Py_ssize_t *p, long long *w, long long k)
 {
-    Py_ssize_t n = s->n, *p = s->p, *rest = s->rest, *values = s->values, count = n;
-    long long *w = s->w, *wp = w + n;
+    Py_ssize_t n = s->n, *rest = s->rest, *values = s->values, count = n;
+    long long *wp = w + n;
     char *mask = s->mask;
     for (Py_ssize_t i = 0; i < n; i++) {
         rest[i] = i;
@@ -762,10 +732,53 @@ encode_core(Work *s, long long k)
     return 1;
 }
 
+/* Raise the exception class `name` of permcodec.errors with a PyUnicode_FromFormat message. */
+static void
+raise_error(const char *name, const char *format, ...)
+{
+    va_list args;
+    va_start(args, format);
+    PyObject *message = PyUnicode_FromFormatV(format, args);
+    va_end(args);
+    PyObject *errors = message ? PyImport_ImportModule("permcodec.errors") : NULL;
+    PyObject *cls = errors ? PyObject_GetAttrString(errors, name) : NULL;
+    if (cls)
+        PyErr_SetObject(cls, message);
+    Py_XDECREF(cls);
+    Py_XDECREF(errors);
+    Py_XDECREF(message);
+}
+
+/* The floor of the length-k staircase over p, n entries (0 iff p avoids it), or -1 on a
+ * failed allocation. */
+static Py_ssize_t
+floor_over(Work *s, const Py_ssize_t *p, long long k)
+{
+    if (k > s->n)  /* a longer pattern never occurs */
+        return 0;
+    if (!floor_init(&s->f, (Py_ssize_t)k))
+        return -1;
+    for (Py_ssize_t i = s->n; i-- > 0;)
+        if (!floor_push(&s->f, p[i]))
+            return -1;
+    return s->f.floors[0];
+}
+
+/* The pair (w, wp) of the 2n letters of a code. */
+static PyObject *
+code_of(const long long *w, Py_ssize_t n)
+{
+    PyObject *w_obj = letters_of(w, n), *wp_obj = w_obj ? letters_of(w + n, n) : NULL;
+    PyObject *pair = wp_obj ? PyTuple_Pack(2, w_obj, wp_obj) : NULL;
+    Py_XDECREF(w_obj);
+    Py_XDECREF(wp_obj);
+    return pair;
+}
+
 static PyObject *
 encode_levels(PyObject *self, PyObject *args)
 {
-    PyObject *p_obj, *seq, *w_obj = NULL, *wp_obj = NULL, *result = NULL;
+    PyObject *p_obj, *seq, *result = NULL;
     long long k;
     if (!PyArg_ParseTuple(args, "OL:encode_levels", &p_obj, &k))
         return NULL;
@@ -779,33 +792,61 @@ encode_levels(PyObject *self, PyObject *args)
     }
     if (!read_entries(seq, s.p, n))
         goto done;
-    if (!encode_core(&s, k)) {
+    if (!encode_core(&s, s.p, s.w, k)) {
         PyErr_NoMemory();
         goto done;
     }
-    if ((w_obj = letters_of(s.w, n)) && (wp_obj = letters_of(s.w + n, n)))
-        result = PyTuple_Pack(2, w_obj, wp_obj);
+    result = code_of(s.w, n);
 done:
     work_free(&s);
-    Py_XDECREF(w_obj);
-    Py_XDECREF(wp_obj);
     Py_DECREF(seq);
     return result;
 }
 
-/* Raise permcodec.errors.NotInImage(message). */
-static void
-not_in_image(const char *message)
+/* The code (w, wp) of p for k, or None when p holds the length-k staircase; MalformedInput
+ * unless p is a permutation of 1..n. */
+static PyObject *
+encode(PyObject *self, PyObject *args)
 {
-    PyObject *errors = PyImport_ImportModule("permcodec.errors");
-    if (!errors)
-        return;
-    PyObject *cls = PyObject_GetAttrString(errors, "NotInImage");
-    Py_DECREF(errors);
-    if (cls) {
-        PyErr_SetString(cls, message);
-        Py_DECREF(cls);
+    PyObject *p_obj, *seq, *result = NULL;
+    long long k;
+    if (!PyArg_ParseTuple(args, "OL:encode", &p_obj, &k))
+        return NULL;
+    if (k < 3 || k > MAX_K)
+        return PyErr_Format(PyExc_ValueError, "the compiled encode takes k in 3..2**62, got %lld",
+                            k);
+    if (!(seq = PySequence_Fast(p_obj, "p must be a sequence")))
+        return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq), floor;
+    Work s = {0};
+    if (!work_init(&s, n, 0)) {
+        PyErr_NoMemory();
+        goto done;
     }
+    memset(s.mask, 0, n);  /* the values seen so far */
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int overflow;
+        long long v = PyLong_AsLongLongAndOverflow(PySequence_Fast_GET_ITEM(seq, i), &overflow);
+        if (v == -1 && PyErr_Occurred())
+            goto done;
+        if (overflow || v < 1 || v > n || s.mask[v - 1]++) {
+            PyObject *t = PySequence_Tuple(seq);
+            if (t)
+                raise_error("MalformedInput", "not a permutation of 1..%zd: %R", n, t);
+            Py_XDECREF(t);
+            goto done;
+        }
+        s.p[i] = (Py_ssize_t)v;
+    }
+    if ((floor = floor_over(&s, s.p, k)) < 0 || (!floor && !encode_core(&s, s.p, s.w, k))) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    result = floor ? Py_NewRef(Py_None) : code_of(s.w, n);
+done:
+    work_free(&s);
+    Py_DECREF(seq);
+    return result;
 }
 
 static int
@@ -944,33 +985,64 @@ fill_core(Work *s, long long k, const char **why)
     return FILLED;
 }
 
-/* Read n letters, each at least 0; set an exception and return 0 otherwise. */
+/* The avoider of the code in s->w for low, which kernels lowered from k: FILLED with it in
+ * s->out, STUCK with *why the NotInImage message, or NO_MEMORY. */
 static int
-read_letters(PyObject *seq, long long *out)
+decode_core(Work *s, long long k, long long low, const char **why)
 {
+    Py_ssize_t n = s->n, floor;
+    int state;
+    /* from the lowered base level up, a letter names a level that no length-n code reaches */
+    if (low < k)
+        for (Py_ssize_t i = 0; i < 2 * n; i++)
+            if (s->w[i] >= 3 * (low / 2 - 1))
+                return stuck(why, "a letter names a level that no code of this length reaches");
+    if ((state = fill_core(s, low, why)) != FILLED)
+        return state;
+    if ((floor = floor_over(s, s->out, low)) != 0)
+        return floor < 0 ? NO_MEMORY : stuck(why, "greedy fill produced a pattern occurrence");
+    if (!encode_core(s, s->out, s->again, low))
+        return NO_MEMORY;
+    if (memcmp(s->again, s->w, 2 * n * sizeof(long long)))
+        return stuck(why, "re-encoding does not reproduce the pair");
+    return FILLED;
+}
+
+/* Read the letters of word (seq, its fast sequence) into out; 0 with an exception set on a
+ * letter that is not an int, or with MalformedInput on one outside the alphabet for k. */
+static int
+read_word(PyObject *word, PyObject *seq, long long *out, long long k)
+{
+    /* the alphabet of permcodec.words.WordFamily.for_pattern_length(k) */
+    long long bottom = k % 2 == 0, top = k % 2 ? 3 * ((k + 1) / 2) - 5 : 3 * (k / 2) - 2;
     for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
-        out[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, i));
+        int overflow;
+        out[i] = PyLong_AsLongLongAndOverflow(PySequence_Fast_GET_ITEM(seq, i), &overflow);
         if (out[i] == -1 && PyErr_Occurred())
             return 0;
-        if (out[i] < 0) {
-            PyErr_SetString(PyExc_ValueError, "letters must not be negative");
+        if (overflow || out[i] < bottom || out[i] > top) {
+            raise_error("MalformedInput", "letters outside the alphabet for k=%lld: %S", k, word);
             return 0;
         }
     }
     return 1;
 }
 
+/* The avoider whose code for k is (w, wp), decoded with the passes for low; MalformedInput
+ * or NotInImage otherwise. */
 static PyObject *
-decode_fill(PyObject *self, PyObject *args)
+decode(PyObject *self, PyObject *args)
 {
     PyObject *w_obj, *wp_obj, *w_seq = NULL, *wp_seq = NULL, *result = NULL;
-    long long k;
+    long long k, low;
+    const char *why;
     Work s = {0};
-    if (!PyArg_ParseTuple(args, "OOL:decode_fill", &w_obj, &wp_obj, &k))
+    if (!PyArg_ParseTuple(args, "OOLL:decode", &w_obj, &wp_obj, &k, &low))
         return NULL;
-    if (k < 3 || k > MAX_K)
-        return PyErr_Format(PyExc_OverflowError,
-                            "the compiled decode takes k in 3..2**62, got %lld", k);
+    if (low < 3 || low > k || k > MAX_K)
+        return PyErr_Format(PyExc_ValueError,
+                            "the compiled decode takes 3 <= low <= k <= 2**62, got %lld and %lld",
+                            low, k);
     if (!(w_seq = PySequence_Fast(w_obj, "w must be a sequence"))
         || !(wp_seq = PySequence_Fast(wp_obj, "wp must be a sequence")))
         goto done;
@@ -983,15 +1055,14 @@ decode_fill(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    if (!read_letters(w_seq, s.w) || !read_letters(wp_seq, s.w + n))
+    if (!read_word(w_obj, w_seq, s.w, k) || !read_word(wp_obj, wp_seq, s.w + n, k))
         goto done;
-    const char *why;
-    switch (fill_core(&s, k, &why)) {
+    switch (decode_core(&s, k, low, &why)) {
     case FILLED:
         result = tuple_of(s.out, n);
         break;
     case STUCK:
-        not_in_image(why);
+        raise_error("NotInImage", "%s", why);
         break;
     default:
         PyErr_NoMemory();
@@ -1097,7 +1168,7 @@ check(Shard *s)
     long long *w = s->work.w, *wp = w + n;
     const char *why;
     s->total++;
-    if (!encode_core(&s->work, s->k)) {
+    if (!encode_core(&s->work, s->prefix, w, s->k)) {
         s->failed = 1;
         return;
     }
@@ -1250,10 +1321,9 @@ done:
 static PyMethodDef methods[] = {
     {"count_avoiders_dfs", (PyCFunction)(void (*)(void))count_avoiders_dfs,
      METH_VARARGS | METH_KEYWORDS, "Avoider counts of q for the lengths 0..n."},
+    {"encode", encode, METH_VARARGS, "The code (w, wp) of p, or None when p holds the staircase."},
+    {"decode", decode, METH_VARARGS, "The avoider whose code for k is (w, wp)."},
     {"encode_levels", encode_levels, METH_VARARGS, "The code (w, wp) of an avoider p."},
-    {"decode_fill", decode_fill, METH_VARARGS, "The greedy fill of the code (w, wp)."},
-    {"staircase_floor", staircase_floor, METH_VARARGS,
-     "The floor of the length-k staircase over p; 0 iff p avoids it."},
     {"verify_shard", verify_shard, METH_VARARGS,
      "The round-trip, image and first-letter defects of q's avoiders under the code for k."},
     {NULL, NULL, 0, NULL},
@@ -1261,7 +1331,7 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_ext",
-    "Compiled avoider count, codec passes and verify sweep for permcodec.kernels.", -1, methods,
+    "Compiled avoider count, codec and verify sweep for permcodec.kernels.", -1, methods,
 };
 
 PyMODINIT_FUNC

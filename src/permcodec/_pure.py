@@ -1,12 +1,15 @@
-"""Pure-Python kernels: the pattern searches, the codec's level passes and the verify sweep.
+"""Pure-Python kernels: the pattern searches, the codec and the verify sweep.
 
 Reference implementation of the inner loops. ``permcodec._ext``
-(``_ext.c``) compiles ``count_avoiders_dfs``, the memoized count engine,
-the codec's three level passes, ``encode_levels``, ``decode_fill`` and
-``staircase_floor``, and ``verify_shard``, the sweep that walks one shard's
-avoiders as ``avoiders`` does and encodes, fills and checks each, with the
-same algorithms. ``first_occurrence`` and ``avoiders``, the walk that yields
-every avoider, exist only here and serve both backends. ``permcodec.kernels``
+(``_ext.c``) compiles, with the same algorithms, ``count_avoiders_dfs``, the
+memoized count engine; the codec's ``encode`` and ``decode``, each one call
+that checks its input and runs the level passes ``staircase_floor``,
+``encode_levels`` and ``decode_fill`` (of the passes, only ``encode_levels``
+is an entry of its own there, for verify's duplicate search); and
+``verify_shard``, the sweep that walks one shard's avoiders as ``avoiders``
+does and encodes, fills and checks each. ``first_occurrence`` and
+``avoiders``, the walk that yields every avoider, exist only here and serve
+both backends. ``permcodec.kernels``
 answers a count with ``len(q) < 2`` or ``n < len(q)`` before either engine
 starts. Haystacks may be any sequences of distinct integers; patterns are
 permutations of 1..k. ``first_occurrence`` returns 1-based indices, as every
@@ -27,8 +30,14 @@ from bisect import bisect_left, bisect_right
 from typing import Iterator, Sequence
 
 from permcodec.coloring import canonical_coloring
-from permcodec.errors import NotInImage
-from permcodec.perms import StaircaseFloor, lr_minima, rl_maxima, split_by_mask
+from permcodec.errors import MalformedInput, NotInImage
+from permcodec.perms import (
+    StaircaseFloor,
+    lr_minima,
+    rl_maxima,
+    split_by_mask,
+    validate_permutation,
+)
 from permcodec.words import WordFamily, validate_word
 
 BACKEND = "pure"
@@ -319,14 +328,12 @@ def decode_fill(w: Sequence[int], wp: Sequence[int], k: int) -> tuple[int, ...]:
     original values makes the same choices as decoding each level on its
     own. Raises NotInImage where the fill gets stuck, as where a letter has
     more slots than values: every letter of the alphabet for k feeds one
-    pool, so two words over it whose letter multisets differ never fill.
-    Two words of different lengths raise ValueError.
+    pool, so two equal-length words over it whose letter multisets differ
+    never fill.
 
     >>> decode_fill((1, 2, 1, 2, 2, 3, 4), (1, 2, 1, 3, 4, 2, 2), 4)
     (3, 6, 1, 2, 7, 4, 5)
     """
-    if len(w) != len(wp):
-        raise ValueError("the two words must have one length")
     out = [0] * len(w)
     for level in sorted({_level(x, k) for x in w}):  # a level without letters fills nothing
         offset = _offset(level, k)
@@ -379,6 +386,55 @@ def decode_fill(w: Sequence[int], wp: Sequence[int], k: int) -> tuple[int, ...]:
                     out[i] = inserted.pop(at)
                 floor.push(out[i])
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the codec: one call per operation, built from the passes above
+
+
+def encode(p: Sequence[int], k: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The code (w, wp) of p for k >= 3, or None when p holds the length-k staircase.
+
+    Raises MalformedInput unless p is a permutation of 1..n.
+
+    >>> encode((3, 6, 1, 2, 7, 4, 5), 4)
+    ((1, 2, 1, 2, 2, 3, 4), (1, 2, 1, 3, 4, 2, 2))
+    >>> encode((1, 3, 2, 4), 4) is None
+    True
+    """
+    p = validate_permutation(p)
+    if staircase_floor(p, k):
+        return None
+    return encode_levels(p, k)
+
+
+def decode(w: Sequence[int], wp: Sequence[int], k: int, low: int) -> tuple[int, ...]:
+    """The avoider whose code for k is (w, wp), decoded with the passes for ``low``.
+
+    ``low`` is k, or the k that ``permcodec.kernels`` lowered it to, which
+    acts alike on codes of this length. Raises ValueError when the words
+    differ in length, MalformedInput when a word has a letter outside the
+    alphabet for k, and NotInImage when no avoider has this code: a letter
+    from the lowered base level up, a fill that gets stuck, a fill that
+    holds the staircase, or one that does not re-encode to (w, wp).
+
+    >>> decode((0, 1, 1, 0, 1), (0, 1, 0, 1, 1), 3, 3)
+    (3, 5, 4, 1, 2)
+    """
+    if len(w) != len(wp):
+        raise ValueError("the two words must have one length")
+    alphabet = WordFamily.for_pattern_length(k).alphabet
+    for word in (w, wp):
+        if any(x not in alphabet for x in word):
+            raise MalformedInput(f"letters outside the alphabet for k={k}: {word}")
+    if low < k and max((*w, *wp), default=0) >= 3 * (low // 2 - 1):  # the lowered base level
+        raise NotInImage("a letter names a level that no code of this length reaches")
+    p = decode_fill(w, wp, low)
+    if staircase_floor(p, low):
+        raise NotInImage("greedy fill produced a pattern occurrence")
+    if encode_levels(p, low) != (tuple(w), tuple(wp)):
+        raise NotInImage("re-encoding does not reproduce the pair")
+    return p
 
 
 # ---------------------------------------------------------------------------

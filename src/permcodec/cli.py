@@ -9,8 +9,9 @@ Each subcommand takes only the flags it reads, except that count accepts
 --jobs and verify --cache, which perfbench passes, and ignores them.
 
 Only words, bounds and scan's plain output read permcodec.wordcount, which
-loads fractions and decimal, so they import it inside the function and the
-other subcommands start without it.
+loads fractions and decimal, and only encode and decode run permcodec.codec,
+so those commands import them inside the function and the others start
+without them.
 
 Exit codes:
   0  success
@@ -33,7 +34,6 @@ import os
 import sys
 
 from permcodec.cache import CacheStore
-from permcodec.codec import decode_avoider, encode_avoider
 from permcodec.enumeration import (
     DEFAULT_NODE_BUDGET,
     count_avoiders,
@@ -51,7 +51,6 @@ from permcodec.errors import (
     ScaleRefused,
 )
 from permcodec.perms import format_permutation, parse_permutation
-from permcodec.words import CodePair, WordFamily, parse_word
 
 DEFAULT_CACHE = "permcodec-cache.jsonl"
 
@@ -81,12 +80,17 @@ def _to_stdout(write, *args) -> None:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
+    from permcodec.codec import encode_avoider
+
     pair = encode_avoider(parse_permutation(args.perm), args.k)
     _emit(pair.to_json())
     return 0
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
+    from permcodec.codec import decode_avoider
+    from permcodec.words import CodePair, parse_word
+
     pair = CodePair(parse_word(args.w), parse_word(args.wp))
     try:
         p = decode_avoider(pair, args.k)
@@ -113,6 +117,7 @@ def _digit_limit() -> int:
 
 def cmd_words(args: argparse.Namespace) -> int:
     from permcodec.wordcount import count_words
+    from permcodec.words import WordFamily
 
     family = WordFamily(args.m, args.parity)
     limit = _digit_limit()

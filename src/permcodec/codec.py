@@ -27,52 +27,47 @@ pair is not in the image. Decoding never searches for or names a witness.
 On valid input both words lie in the word family for k and share one letter
 multiset; the encoding is injective (verified exhaustively in tests).
 
-The three inner passes, the per-level encode, the greedy fill and the floor
-pass, are kernels (``kernels.encode_levels``, ``decode_fill`` and
-``staircase_floor``): compiled in ``_ext.c`` when it is built, and otherwise
-their pure twins in ``_pure``, which spell out the algorithms. They take
-any k >= 3, and the fill rejects two words whose letter multisets differ.
-This module checks the input, names the witness of a failed avoidance
-check, and does the floor and re-encode checks of a decode.
+Each operation is one kernel call (``kernels.encode`` and ``decode``),
+compiled in ``_ext.c`` when it is built, and otherwise its pure twin in
+``_pure``, which spells out the algorithms from the level passes: the
+per-level encode, the greedy fill and the staircase floor. The kernels
+check the input for any k >= 3; this module refuses a k below 3 and names
+the witness of a failed avoidance check.
+Entries and letters are ints (bool and other int subclasses count): the
+compiled kernels raise TypeError on any other, and the pure twins promise
+nothing for them.
 """
 
 from __future__ import annotations
 
 from permcodec import kernels
-from permcodec.errors import (
-    DomainError,
-    MalformedInput,
-    NotInImage,
-    PreconditionViolated,
-)
-from permcodec.perms import (
-    Perm,
-    format_permutation,
-    staircase_pattern,
-    validate_permutation,
-)
-from permcodec.words import CodePair, WordFamily
+from permcodec.errors import DomainError, PreconditionViolated
+from permcodec.perms import Perm, format_permutation, staircase_pattern, validate_permutation
+from permcodec.words import CodePair
 
 
 def encode_avoider(p: Perm, k: int) -> CodePair:
     """Encode a permutation avoiding the length-k staircase pattern.
 
-    Raises MalformedInput unless p is a permutation of 1..n, and
-    PreconditionViolated (with a witness) when p contains the pattern.
+    Raises MalformedInput unless p is a permutation of 1..n, then DomainError
+    for k < 3, and PreconditionViolated (with a witness) when p contains the
+    pattern.
 
     >>> pair = encode_avoider((3, 6, 1, 2, 7, 4, 5), 4)
     >>> (pair.w, pair.wp)
     ((1, 2, 1, 2, 2, 3, 4), (1, 2, 1, 3, 4, 2, 2))
     """
-    p = validate_permutation(p)
+    p = tuple(p)
     if k < 3:
+        validate_permutation(p)  # a malformed p is reported first
         raise DomainError(f"pattern length must be at least 3, got {k}")
-    if kernels.staircase_floor(p, k):
+    code = kernels.encode(p, k)
+    if code is None:
         q = staircase_pattern(k)
         witness = kernels.first_occurrence(p, q)  # the floor only says that one exists
         spot = ",".join(str(i) for i in witness)
         raise PreconditionViolated(f"contains {format_permutation(q)} at ({spot})", witness=witness)
-    return CodePair(*kernels.encode_levels(p, k))
+    return CodePair(*code)
 
 
 # ---------------------------------------------------------------------------
@@ -82,19 +77,14 @@ def encode_avoider(p: Perm, k: int) -> CodePair:
 def decode_avoider(pair: CodePair, k: int) -> Perm:
     """Invert encode_avoider; raises NotInImage when no avoider has this code.
 
-    The greedy fill is returned only when one floor pass finds no staircase
-    in it and it re-encodes to the pair; a rejection names no witness.
+    Raises DomainError for k < 3, then MalformedInput for a letter outside
+    the alphabet for k. The greedy fill is returned only when one floor pass
+    finds no staircase in it and it re-encodes to the pair; a rejection
+    names no witness.
 
     >>> decode_avoider(CodePair((0, 1, 1, 0, 1), (0, 1, 0, 1, 1)), 3)
     (3, 5, 4, 1, 2)
     """
-    alphabet = WordFamily.for_pattern_length(k).alphabet
-    for word in (pair.w, pair.wp):
-        if any(x not in alphabet for x in word):
-            raise MalformedInput(f"letters outside the alphabet for k={k}: {word}")
-    p = kernels.decode_fill(pair.w, pair.wp, k)  # raises where the letter multisets differ
-    if kernels.staircase_floor(p, k):
-        raise NotInImage("greedy fill produced a pattern occurrence")
-    if kernels.encode_levels(p, k) != (pair.w, pair.wp):
-        raise NotInImage("re-encoding does not reproduce the pair")
-    return p
+    if k < 3:
+        raise DomainError(f"pattern length must be at least 3, got {k}")
+    return kernels.decode(pair.w, pair.wp, k)

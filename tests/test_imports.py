@@ -22,11 +22,11 @@ print(" ".join(sorted(set(sys.modules) - _before)))
 """
 
 
-def loaded_by(code: str, *args: str) -> set[str]:
+def loaded_by(code: str, *args: str, env_extra=None) -> set[str]:
     """Modules a fresh interpreter loads for ``code`` beyond those it starts with."""
     out = subprocess.run(
         [sys.executable, "-c", _PROBE.format(code=code), *args],
-        capture_output=True, text=True, env=cli_env(), timeout=60,
+        capture_output=True, text=True, env=cli_env(env_extra), timeout=60,
     )
     assert out.returncode == 0, out.stderr
     return set(out.stdout.splitlines()[-1].split())
@@ -46,6 +46,27 @@ def test_a_count_loads_no_word_counts_and_no_pool(tmp_path):
     loaded = loaded_by(_MAIN, "count", "-q", "1324", "-n", "6", "--cache", str(tmp_path / "c"))
     assert "permcodec.enumeration" in loaded
     assert not loaded & {"permcodec.wordcount", "fractions", "concurrent.futures", "logging"}
+
+
+#: the ``ext`` fixture's build, loaded as ``permcodec._ext`` from the path in argv[1]
+_MAIN_COMPILED = """\
+import importlib.util
+spec = importlib.util.spec_from_file_location("permcodec._ext", sys.argv.pop(1))
+sys.modules["permcodec._ext"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(sys.modules["permcodec._ext"])
+""" + _MAIN
+
+
+@pytest.mark.parametrize(
+    "argv", [["count", "-q", "1324", "-n", "6"], ["verify", "--k", "6", "-n", "5"]],
+    ids=["count", "verify"],
+)
+def test_a_compiled_count_or_verify_loads_no_pure_kernels_and_no_codec(ext, argv, tmp_path):
+    # the pure twins (and the coloring they build on) load only where they run
+    loaded = loaded_by(_MAIN_COMPILED, ext.__file__, *argv, "--cache", str(tmp_path / "c"),
+                       env_extra={"PERMCODEC_PURE": ""})
+    assert {"permcodec._ext", "permcodec.kernels", "permcodec.enumeration"} <= loaded
+    assert not loaded & {"permcodec._pure", "permcodec.coloring", "permcodec.codec"}
 
 
 @pytest.mark.parametrize(

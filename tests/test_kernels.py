@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import os
@@ -16,7 +17,7 @@ import oracles
 from conftest import ROOT, build_ext, cli_env, skip_unless_buildable
 from permcodec import _pure, kernels
 from permcodec.enumeration import count_avoiders, verify_injection
-from permcodec.errors import NotInImage
+from permcodec.errors import MalformedInput, NotInImage, PermcodecError
 from permcodec.perms import staircase_pattern, symmetry_class
 from permcodec.words import WordFamily, validate_word
 
@@ -202,45 +203,45 @@ def test_a_pattern_longer_than_n_counts_as_a_factorial(impl, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the codec's level passes
+# the codec's entries: one call per encode and per decode
+
+
+def outcome(run, *args):
+    """(None, what run(*args) returns), or the type and message of the error it raised."""
+    try:
+        return None, run(*args)
+    except (PermcodecError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 def test_codes_agree_with_the_pure_passes(impl):
     for k in range(3, 9):
         for n in range(8):
             for p in _pure.avoiders(staircase_pattern(k), n):
-                code = impl.encode_levels(p, k)
-                assert code == _pure.encode_levels(p, k), (p, k)
-                assert impl.decode_fill(*code, k) == p
-
-
-def fill_outcome(fill, w, wp, k):
-    """The greedy fill of (w, wp), or the message of the NotInImage it raised."""
-    try:
-        return fill(w, wp, k)
-    except NotInImage as exc:
-        return str(exc)
+                code = impl.encode(p, k)
+                assert code == impl.encode_levels(p, k) == _pure.encode_levels(p, k), (p, k)
+                assert impl.decode(*code, k, k) == p
 
 
 @functools.cache
 def same_multiset_pairs(k, nmax):
-    """Every pair whose words share one letter multiset, with the pure fill's outcome."""
+    """Every pair whose words share one letter multiset, with the pure decode's outcome."""
     alphabet = sorted(WordFamily.for_pattern_length(k).alphabet)
     pairs = []
     for n in range(nmax + 1):
         for letters in itertools.combinations_with_replacement(alphabet, n):
             words = set(itertools.permutations(letters))
-            pairs += [(w, wp, fill_outcome(_pure.decode_fill, w, wp, k))
+            pairs += [(w, wp, outcome(_pure.decode, w, wp, k, k))
                       for w, wp in itertools.product(words, repeat=2)]
     return pairs
 
 
 @pytest.mark.parametrize("k,nmax", [(3, 6), (4, 5), (5, 4), (6, 4)])
-@pytest.mark.parametrize("impl", ["compiled"], indirect=True)  # the pure fill is the reference
+@pytest.mark.parametrize("impl", ["compiled"], indirect=True)  # the pure decode is the reference
 def test_decode_outcomes_agree_with_the_pure_fill(impl, k, nmax):
     # the ranges of test_codec.test_decode_accepts_exactly_the_image
     for w, wp, want in same_multiset_pairs(k, nmax):
-        assert fill_outcome(impl.decode_fill, w, wp, k) == want, (w, wp)
+        assert outcome(impl.decode, w, wp, k, k) == want, (w, wp)
 
 
 @functools.cache
@@ -252,41 +253,82 @@ def equal_length_pairs(k, n):
 
 @pytest.mark.parametrize("k,nmax", [(3, 6), (4, 4), (5, 3), (6, 3)])
 def test_fill_outcomes_agree_on_every_pair_of_words(ext, k, nmax):
-    # the fills own the letter counts: a pair whose multisets differ never fills
+    # the fills own the letter counts: a pair whose multisets differ never decodes
     for n in range(nmax + 1):
         for w, wp in equal_length_pairs(k, n):
-            want = fill_outcome(_pure.decode_fill, w, wp, k)
-            assert fill_outcome(ext.decode_fill, w, wp, k) == want, (w, wp)
-            assert isinstance(want, str) or sorted(w) == sorted(wp), (w, wp)
-    unequal = "the two words must share one letter multiset"
-    assert fill_outcome(_pure.decode_fill, (1, 1), (1, 2), 4) == unequal
+            want = outcome(_pure.decode, w, wp, k, k)
+            assert outcome(ext.decode, w, wp, k, k) == want, (w, wp)
+            assert want[0] is None or want[0] is NotInImage, (w, wp)
+            assert want[0] is NotInImage or sorted(w) == sorted(wp), (w, wp)
+    unequal = NotInImage, "the two words must share one letter multiset"
+    assert outcome(_pure.decode, (1, 1), (1, 2), 4, 4) == unequal
+
+
+def lowering_ks(n):
+    """Ks that kernels lowers at length n, the last two past the compiled decode's reach."""
+    return [*range(2 * n + 4, 2 * n + 21), 10**20, 10**20 + 1]
+
+
+def test_decode_outcomes_agree_past_the_alphabet_and_the_lowered_base_level(ext, monkeypatch):
+    # MalformedInput names the first word with a letter outside the alphabet for the
+    # caller's k; a k that kernels lowers refuses letters from the lowered base level up
+    monkeypatch.setattr(kernels, "_impl", ext)
+    rng = random.Random("past the alphabet")
+    seen = collections.Counter()
+    for n in range(1, 6):
+        for k in [*range(3, 9), *lowering_ks(n)]:
+            alphabet = WordFamily.for_pattern_length(k).alphabet
+            low = kernels._lowered(k, n)
+            base = 3 * (low // 2 - 1)
+            letters = [-1, *range(alphabet[0], base + 3), alphabet[-1], alphabet[-1] + 1, 2**63]
+            for _ in range(60):
+                w = tuple(rng.choice(letters) for _ in range(n))
+                wp = tuple(rng.sample(w, n)) if rng.random() < 0.5 else tuple(
+                    rng.choice(letters) for _ in range(n))
+                want = outcome(_pure.decode, w, wp, k, low)
+                assert outcome(kernels.decode, w, wp, k) == want, (w, wp, k)
+                seen[want[1] if want[0] is NotInImage else want[0]] += 1
+    assert seen[MalformedInput] > 1000 and seen[None] > 50
+    assert seen["a letter names a level that no code of this length reaches"] > 1000
+    assert seen["the two words must share one letter multiset"] > 100
+
+
+def test_encode_outcomes_agree_with_the_pure_encode(ext):
+    # None marks a permutation that holds the staircase; codec then names the witness
+    refused = [(1, 1), (0,), (2,), (1, 3), (2, 2, 1), (0, 1, 2), (1, 2, 4), (1, 2, 3, 3),
+               (-1, 1), (2**64, 1), (3, 1, 2, 2)]
+    seen = collections.Counter()
+    for k in range(3, 9):
+        every = (q for n in range(7) for q in permutations(range(1, n + 1)))
+        for p in [*refused, [2, 1, 3], *every]:
+            want = outcome(_pure.encode, p, k)
+            assert outcome(ext.encode, p, k) == want, (p, k)
+            seen[want[0] or (want[1] is None)] += 1
+    assert seen[MalformedInput] == 6 * len(refused)
+    assert seen[True] > 500 and seen[False] > 1000  # holds the staircase, and avoids it
 
 
 def test_fills_refuse_words_of_two_lengths(impl):
     for w, wp, k in [((1,), (0, 1), 3), ((1,), (1, 2), 4), ((1, 2), (1,), 4)]:
         with pytest.raises(ValueError, match="one length"):
-            impl.decode_fill(w, wp, k)
+            impl.decode(w, wp, k, k)
 
 
-def decision(passes, w, wp, k):
-    """The decode's verdict from (fill, floor, encode): the avoider, or None for NotInImage."""
-    fill, floor, encode = passes
+def decision(decode, *args):
+    """The avoider a decode returns, or the type of the error it raised."""
     try:
-        p = fill(w, wp, k)
-    except NotInImage:
-        return None
-    return p if not floor(p, k) and encode(p, k) == (w, wp) else None
+        return decode(*args)
+    except (MalformedInput, NotInImage) as exc:
+        return type(exc)
 
 
 def test_lowered_and_unlowered_decodes_reach_one_decision(impl, monkeypatch):
-    # kernels hands every pass the least k of the same parity past 2n + 3
+    # kernels hands every decode the least k of the same parity past 2n + 3
     monkeypatch.setattr(kernels, "_impl", impl)
-    lowered = (kernels.decode_fill, kernels.staircase_floor, kernels.encode_levels)
-    unlowered = (_pure.decode_fill, _pure.staircase_floor, _pure.encode_levels)
     rng = random.Random("lowered decodes")
     accepted = 0
     for n in range(6):
-        for k in [*range(2 * n + 4, 2 * n + 21), 10**20, 10**20 + 1]:
+        for k in lowering_ks(n):
             top = WordFamily.for_pattern_length(k).alphabet[-1]
             letters = [*range(3 * n + 6), top - 1, top]  # a code's letters, and the base level's
             for _ in range(40):
@@ -302,24 +344,28 @@ def test_lowered_and_unlowered_decodes_reach_one_decision(impl, monkeypatch):
                 if rng.random() < 0.2:  # or two words drawn at random
                     w, wp = ([rng.choice(letters) for _ in range(n)] for _ in range(2))
                 w, wp = tuple(w), tuple(wp)
-                want = decision(unlowered, w, wp, k)
-                assert decision(lowered, w, wp, k) == want, (w, wp, k)
-                accepted += want is not None
+                want = decision(_pure.decode, w, wp, k, k)
+                assert decision(kernels.decode, w, wp, k) == want, (w, wp, k)
+                accepted += isinstance(want, tuple)
     assert accepted > 1000
 
 
 def test_floors_agree_with_the_pure_pass_and_brute_force(impl):
+    # the floor is 0 exactly when encode finds no staircase and returns a code
     rng = random.Random("staircase floors")
+    held = 0
     for _ in range(2000):
         n = rng.randint(0, 80)
         p = tuple(rng.sample(range(1, n + 1), n))
         k = rng.randint(3, 10)
-        floor = impl.staircase_floor(p, k)
-        assert floor == _pure.staircase_floor(p, k), (p, k)
+        floor = _pure.staircase_floor(p, k)
+        assert (impl.encode(p, k) is None) == bool(floor), (p, k)
+        held += bool(floor)
         if n <= 8:
             starts = [min(p[i - 1] for i in spots)
                       for spots in oracles.brute_occurrences(p, staircase_pattern(k))]
             assert floor == max(starts, default=0), (p, k)
+    assert 500 < held < 1900
 
 
 def test_kernels_lower_a_huge_k_to_the_same_code(impl, monkeypatch):
@@ -329,37 +375,38 @@ def test_kernels_lower_a_huge_k_to_the_same_code(impl, monkeypatch):
         for k in (3, 4, 5):
             for p in oracles.brute_avoiders(staircase_pattern(k), n):
                 for big in range(k, 2 * n + 9):
-                    assert kernels.encode_levels(p, big) == _pure.encode_levels(p, big), (p, big)
-    for k in (10**6, 10**20, 10**20 + 1):
-        code = kernels.encode_levels((3, 6, 1, 2, 7, 4, 5), k)
+                    assert kernels.encode(p, big) == _pure.encode_levels(p, big), (p, big)
+                    assert kernels.encode_levels(p, big) == _pure.encode_levels(p, big)
+    for k in (10**6, 2**62, 2**62 + 1, 10**20, 10**20 + 1):
+        code = kernels.encode((3, 6, 1, 2, 7, 4, 5), k)
         assert code == _pure.encode_levels((3, 6, 1, 2, 7, 4, 5), k)
-        assert kernels.decode_fill(*code, k) == (3, 6, 1, 2, 7, 4, 5)
+        assert kernels.decode(*code, k) == (3, 6, 1, 2, 7, 4, 5)
 
 
-def test_compiled_passes_refuse_what_would_leave_their_bounds(ext):
-    for bad in [(0, 1), (1, 3), (1, "2")]:  # the codec passes only permutations of 1..n
+def test_compiled_passes_refuse_what_would_leave_their_bounds(ext, monkeypatch):
+    for bad in [(0, 1), (1, 3), (1, "2")]:  # verify passes only permutations of 1..n
         with pytest.raises((ValueError, TypeError)):
             ext.encode_levels(bad, 4)
-    with pytest.raises(ValueError):
-        ext.staircase_floor((0, 1, 2), 3)
-    with pytest.raises(TypeError):
-        ext.staircase_floor((1, "2", 3), 3)
     with pytest.raises(OverflowError):
         ext.encode_levels((1,), 10**20)  # kernels lowers such a k first
-    with pytest.raises(OverflowError):
-        ext.decode_fill((1,), (1,), 2**62 + 1)  # kernels lowers such a k first
-    with pytest.raises(ValueError):
-        ext.decode_fill((1, -1), (1, -1), 4)
-    with pytest.raises(ValueError):
-        ext.decode_fill((1, 2), (1,), 4)
+    for k in (2, 2**62 + 1):
+        with pytest.raises(ValueError):
+            ext.encode((1,), k)
+    for k, low in [(2**62 + 1, 5), (4, 2), (4, 6)]:  # kernels decodes past 2**62 in Python
+        with pytest.raises(ValueError):
+            ext.decode((1,), (1,), k, low)
+    with pytest.raises(TypeError):  # entries and letters are ints
+        ext.encode((1, "2"), 3)
+    with pytest.raises(TypeError):
+        ext.decode((1, 2.0), (1, 2), 4, 4)
     with pytest.raises(NotInImage, match="one letter multiset"):
-        ext.decode_fill((1, 1), (1, 2), 4)  # the fill owns the letter counts
-    with pytest.raises(ValueError):
-        ext.staircase_floor((1, 2, 3), 2)
-    assert ext.staircase_floor((2, 1, 3), 4) == 0  # a longer pattern never occurs
-    huge = 10**20 + 1
-    assert fill_outcome(kernels.decode_fill, (0,), (0,), huge) == fill_outcome(
-        _pure.decode_fill, (0,), (0,), huge) == "too few entries to start the required pattern"
+        ext.decode((1, 1), (1, 2), 4, 4)  # the fill owns the letter counts
+    assert ext.encode((2, 1, 3), 4) == _pure.encode_levels((2, 1, 3), 4)  # no longer pattern occurs
+    monkeypatch.setattr(kernels, "_impl", ext)
+    for huge in (2**61 + 1, 10**20 + 1):  # lowered to 7, so a 0 starts an odd level of 7
+        assert outcome(kernels.decode, (0,), (0,), huge) == outcome(
+            _pure.decode, (0,), (0,), huge, huge) == (
+            NotInImage, "too few entries to start the required pattern")
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +433,7 @@ def reference_shard(q, k, n, first, cap):
     for p in avoiders:
         w, wp = _pure.encode_levels(p, k)
         defects = (
-            fill_outcome(_pure.decode_fill, w, wp, k) != p,
+            outcome(_pure.decode_fill, w, wp, k) != (None, p),
             not validate_word(w, family) or not validate_word(wp, family),
             k % 2 == 0 and n > 0 and (w[0], wp[0]) != (1, 1),
         )
@@ -461,8 +508,8 @@ p, ones = tuple(range(1, n + 1)), (1,) * n
 pages = int(open("/proc/self/statm").read().split()[0])
 room = pages * resource.getpagesize() + 3 * 2**20
 resource.setrlimit(resource.RLIMIT_AS, (room, room))
-for run in (lambda: ext.encode_levels(p, 4), lambda: ext.decode_fill(ones, ones, 4),
-            lambda: ext.staircase_floor(p, 4), lambda: ext.verify_shard((), 4, n, 0, 1)):
+for run in (lambda: ext.encode_levels(p, 4), lambda: ext.encode(p, 4),
+            lambda: ext.decode(ones, ones, 4, 4), lambda: ext.verify_shard((), 4, n, 0, 1)):
     try:
         run()
     except MemoryError:
@@ -478,17 +525,22 @@ def test_compiled_round_trips_do_not_leak(ext):
 import random, resource
 sys.path.insert(0, sys.argv[2])
 import oracles
-from permcodec.errors import NotInImage
+from permcodec.errors import MalformedInput, NotInImage
+from permcodec.perms import staircase_pattern
 rng = random.Random("leak")
 inputs = [(oracles.random_staircase_avoider(rng, k, rng.randint(50, 70)), k)
           for k in (3, 4, 5, 6) for _ in range(5)]
 def round_trip(p, k):
-    w, wp = ext.encode_levels(p, k)
-    assert ext.decode_fill(w, wp, k) == p and ext.staircase_floor(p, k) == 0
-    try:  # a rejected fill returns through the error paths
-        ext.decode_fill(w, wp[1:] + wp[:1], k)
-    except NotInImage:
-        pass
+    w, wp = ext.encode(p, k)
+    assert ext.decode(w, wp, k, k) == p and ext.encode_levels(p, k) == (w, wp)
+    assert ext.encode(staircase_pattern(k) + tuple(range(k + 1, len(p) + 1)), k) is None
+    for run in (lambda: ext.decode(w, wp[1:] + wp[:1], k, k),  # the error paths
+                lambda: ext.decode(w, wp[:-1] + (99,), k, k),
+                lambda: ext.encode(p[1:] + p[:1] + (len(p),), k)):
+        try:
+            run()
+        except (MalformedInput, NotInImage):
+            pass
 for i in range(100_000):
     round_trip(*inputs[i % len(inputs)])
     if i == 999:
