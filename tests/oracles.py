@@ -7,9 +7,12 @@ run at desk scale.
 
 from __future__ import annotations
 
+import json
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
+from pathlib import Path
 
 
 def rank_pattern(values):
@@ -191,3 +194,31 @@ def random_staircase_avoider(rng, k, n):
         bound = next((e for e in range(len(p)) if ends_an_occurrence(p, head, e)), len(p))
         p.insert(rng.randint(0, bound), v)
     return tuple(p)
+
+
+def load_cache_entries(path):
+    """The count cache's records, by the reader it had before it indexed bytes.
+
+    One ``json.loads`` per line of the text ``str.splitlines`` gives; the
+    last valid record for a key wins, and each malformed line is skipped
+    with the same warning on stderr. A file that is not UTF-8 raises
+    ``UnicodeDecodeError``.
+    """
+    path = Path(path)
+    entries = {}
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return entries
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            key = (str(record["pattern"]), int(record["n"]))
+            value = int(record["count"])
+        except (ValueError, TypeError, KeyError):
+            print(f"permcodec: {path}:{lineno}: skipping malformed cache line", file=sys.stderr)
+            continue
+        entries[key] = value
+    return entries

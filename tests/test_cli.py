@@ -100,6 +100,25 @@ def test_count_warns_of_a_malformed_cache_line_on_stderr(tmp_path):
     assert f"permcodec: {cache}:2: skipping malformed cache line\n" in out.stderr
 
 
+def test_count_skips_a_cache_line_that_is_not_utf8(tmp_path):
+    cache = tmp_path / "c.jsonl"
+    cache.write_bytes(b'\xff\xfe{"pattern"\n')
+    out = run_cli(["count", "-q", "132", "-n", "5", "--cache", str(cache)], tmp_path)
+    assert (out.returncode, out.stdout) == (0, "42\n")
+    assert out.stderr == f"permcodec: {cache}:1: skipping malformed cache line\n"
+
+
+def test_count_finds_a_record_put_after_a_truncated_last_line(tmp_path):
+    cache = tmp_path / "c.jsonl"
+    cache.write_text('{"pattern":"132","n":4,"co')  # a writer killed mid-line
+    argv = ["count", "-q", "1324", "-n", "6", "--cache", str(cache)]
+    first, second = run_cli(argv, tmp_path), run_cli(argv, tmp_path)
+    assert (first.returncode, first.stdout) == (second.returncode, second.stdout) == (0, "513\n")
+    # the second count hit: it appended no record and warned of the fragment only
+    assert cache.read_text() == '{"pattern":"132","n":4,"co\n{"pattern":"1324","n":6,"count":"513"}\n'
+    assert first.stderr == second.stderr == f"permcodec: {cache}:1: skipping malformed cache line\n"
+
+
 def test_cache_io_failure_exits_six(tmp_path):
     out = run_cli(["count", "-q", "132", "-n", "3", "--cache", str(tmp_path)], tmp_path)
     assert out.returncode == 6
