@@ -25,10 +25,10 @@ _HOMES = {
     "encode_avoider": "codec",
     "enumerate_avoiders": "enumeration",
     "format_permutation": "perms",
-    "format_word": "words",
+    "format_word": "perms",
     "is_layered": "perms",
     "parse_permutation": "perms",
-    "parse_word": "words",
+    "parse_word": "perms",
     "scan_classes": "enumeration",
     "staircase_pattern": "perms",
     "symmetry_class": "perms",

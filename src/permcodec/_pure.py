@@ -38,7 +38,6 @@ from permcodec.perms import (
     split_by_mask,
     validate_permutation,
 )
-from permcodec.words import WordFamily, validate_word
 
 BACKEND = "pure"
 
@@ -421,6 +420,8 @@ def decode(w: Sequence[int], wp: Sequence[int], k: int, low: int) -> tuple[int, 
     >>> decode((0, 1, 1, 0, 1), (0, 1, 0, 1, 1), 3, 3)
     (3, 5, 4, 1, 2)
     """
+    from permcodec.words import WordFamily  # here, so that a pure count loads no words
+
     if len(w) != len(wp):
         raise ValueError("the two words must have one length")
     alphabet = WordFamily.for_pattern_length(k).alphabet
@@ -455,6 +456,8 @@ def verify_shard(q: Sequence[int], k: int, n: int, first: int, cap: int) -> tupl
     >>> verify_shard((1, 3, 2, 4), 4, 4, 1, 10)
     (5, (0, 0, 0), ((), (), ()))
     """
+    from permcodec.words import WordFamily, validate_word
+
     family = WordFamily.for_pattern_length(k)
     check_first = k % 2 == 0 and n >= 1
     total, counts, found = 0, [0, 0, 0], ([], [], [])

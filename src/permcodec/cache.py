@@ -5,19 +5,21 @@ Patterns are stored under their symmetry-class representative so equivalent
 queries share entries. The file is append-only; on load, the last record for
 a key wins, and malformed lines are skipped with a warning rather than
 aborting the run. A line is malformed when it is not UTF-8, is not JSON,
-lacks a key, holds a value that is not an integer, or holds a count or n
-with more digits than the interpreter turns into an int
-(``sys.get_int_max_str_digits()``).
+lacks a key, holds a value that is not an integer (a number past the float
+range, such as 1e400, included), nests deeper than the JSON parser recurses,
+or holds a count or n with more digits than the interpreter turns into an
+int (``sys.get_int_max_str_digits()``).
 
 Loading indexes the lines in the form that ``put`` writes with bytes
 methods and keeps each count as its digits; a count is converted to an int
-when ``get`` reads it. Every other line is parsed with ``json.loads``.
-``put`` starts its record on a new line when the file ends mid-line.
+when ``get`` reads it. Every other line is parsed with ``json.loads``, and
+only then is ``json`` imported. ``put`` writes a pattern of ASCII digits as
+it is and escapes any other with ``json.dumps``; it starts its record on a
+new line when the file ends mid-line.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -62,6 +64,8 @@ class CacheStore:
                         and len(n) <= limit and len(count) <= limit):
                     store.entries[pattern.decode(), int(n)] = count
                     continue
+            import json  # only a line off the indexed form needs it
+
             try:
                 text = line.decode()
                 if not text.strip():
@@ -69,7 +73,9 @@ class CacheStore:
                 record = json.loads(text)
                 key = (str(record["pattern"]), int(record["n"]))
                 value = int(record["count"])
-            except (ValueError, TypeError, KeyError):  # UnicodeDecodeError is a ValueError
+            # UnicodeDecodeError is a ValueError; int(1e400) raises OverflowError, and a
+            # deep nest of brackets RecursionError
+            except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
                 print(f"permcodec: {store.path}:{lineno}: skipping malformed cache line",
                       file=sys.stderr)
                 continue
@@ -82,7 +88,12 @@ class CacheStore:
 
     def put(self, pattern_text: str, n: int, count: int) -> None:
         self.entries[(pattern_text, n)] = count
-        pattern = json.dumps(pattern_text)[1:-1].encode()  # escaped as inside a JSON string
+        if pattern_text.isascii() and pattern_text.isdigit():  # every pattern up to k = 9
+            pattern = pattern_text.encode()
+        else:
+            import json
+
+            pattern = json.dumps(pattern_text)[1:-1].encode()  # escaped as inside a JSON string
         line = b"".join((_PATTERN, pattern, _N, b"%d" % n, _COUNT, b"%d" % count, _END, b"\n"))
         try:
             with open(self.path, "a+b") as handle:

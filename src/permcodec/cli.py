@@ -8,10 +8,13 @@ is closed, the rest of it is dropped, and the exit code stays the command's.
 Each subcommand takes only the flags it reads, except that count accepts
 --jobs and verify --cache, which perfbench passes, and ignores them.
 
-Only words, bounds and scan's plain output read permcodec.wordcount, which
-loads fractions and decimal, and only encode and decode run permcodec.codec,
-so those commands import them inside the function and the others start
-without them.
+A command imports inside its function what only some commands run, so the
+others start without it: permcodec.wordcount (with fractions and decimal)
+for words, bounds and scan's plain output, permcodec.codec for encode and
+decode, permcodec.words (the code pair and the word families) for encode,
+decode and words, the count cache for count, and json for the --format
+json output. Permutation and word text is read and printed with the
+grammar in permcodec.perms.
 
 Exit codes:
   0  success
@@ -28,12 +31,10 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 
-from permcodec.cache import CacheStore
 from permcodec.enumeration import (
     DEFAULT_NODE_BUDGET,
     count_avoiders,
@@ -50,7 +51,7 @@ from permcodec.errors import (
     PreconditionViolated,
     ScaleRefused,
 )
-from permcodec.perms import format_permutation, parse_permutation
+from permcodec.perms import format_permutation, parse_permutation, parse_word
 
 DEFAULT_CACHE = "permcodec-cache.jsonl"
 
@@ -89,7 +90,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def cmd_decode(args: argparse.Namespace) -> int:
     from permcodec.codec import decode_avoider
-    from permcodec.words import CodePair, parse_word
+    from permcodec.words import CodePair
 
     pair = CodePair(parse_word(args.w), parse_word(args.wp))
     try:
@@ -102,6 +103,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from permcodec.cache import CacheStore
+
     q = parse_permutation(args.pattern)
     require_length(args.n)
     store = CacheStore.load(_cache_path(args))
@@ -148,6 +151,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     rows = bound_table(args.k, args.nmax, dict(enumerate(counts)))
     try:
         if args.format == "json":
+            import json
+
             lines = [json.dumps([bound_row_dict(r) for r in rows])]
         elif args.format == "csv":
             lines = bound_rows_csv(rows)
@@ -167,6 +172,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_injection(args.k, args.n, jobs=args.jobs, budget=args.budget)
     if args.format == "json":
+        import json
+
         _emit(json.dumps(report.to_dict()))
     else:
         _emit(f"checked {report.total} avoiders for k={report.k} n={report.n}")
@@ -187,6 +194,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     report = scan_classes(args.k, args.n, budget=args.budget)
     if args.format == "json":
+        import json
+
         _emit(json.dumps(report.to_dict()))
     else:
         plain = _plain_cell()

@@ -25,12 +25,10 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import asdict, dataclass
 from itertools import permutations
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from permcodec import kernels
-from permcodec.cache import CacheStore
 from permcodec.errors import DomainError, ScaleRefused
 from permcodec.perms import (
     Perm,
@@ -41,6 +39,9 @@ from permcodec.perms import (
     symmetry_orbit,
     validate_permutation,
 )
+
+if TYPE_CHECKING:  # only count loads the cache, so the launch of every other command skips it
+    from permcodec.cache import CacheStore
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -147,8 +148,7 @@ def staircase_counts(k: int, n_max: int, *, budget: int = DEFAULT_NODE_BUDGET) -
 # encoder verification
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     k: int
     n: int
     total: int
@@ -168,8 +168,8 @@ class VerificationReport:
         )
 
     def to_dict(self) -> dict:
-        record = asdict(self)
-        examples = record.pop("examples")
+        record = self._asdict()
+        examples = dict(record.pop("examples"))
         return {**record, "passed": self.passed, "examples": examples}
 
 
@@ -233,16 +233,14 @@ def verify_injection(
 # pattern-class scans
 
 
-@dataclass(frozen=True)
-class ClassCount:
+class ClassCount(NamedTuple):
     representative: str
     count: int
     layered: bool
     growth_ratio: float | None  # observed count ratio against n-1
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     k: int
     n: int
     classes: tuple[ClassCount, ...]
@@ -252,7 +250,7 @@ class ConjectureReport:
     staircase_is_max: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**self._asdict(), "classes": tuple(entry._asdict() for entry in self.classes)}
 
 
 def scan_classes(

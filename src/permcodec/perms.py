@@ -1,9 +1,13 @@
-"""Permutations in one-line notation and the structural operations on them.
+"""Permutations in one-line notation, the word text they share with codes,
+and the structural operations on them.
 
 A permutation of length n is a tuple containing each of 1..n exactly once.
-The text form is word text (``permcodec.words``): compact digits for n <= 9
-("35412") and comma-separated values otherwise ("10,1,2,3,4,5,6,7,8,9"), with
-an optional trailing comma; both forms are accepted on input.
+Its text form is word text, whose grammar (``parse_word``, ``format_word``)
+lives here, since every command reads or prints a permutation and
+``permcodec.words`` re-exports it for the codes: compact digits when every
+letter is at most 9 ("35412") and comma-separated letters otherwise
+("10,1,2,3,4,5,6,7,8,9"), with an optional trailing comma; both forms are
+accepted on input.
 
 Occurrences are witnessed by 1-based index tuples: q occurs in p at indices
 i_1 < ... < i_k when (p[i_1], ..., p[i_k]) is order-isomorphic to q.
@@ -15,9 +19,41 @@ import math
 from typing import Iterable, Sequence
 
 from permcodec.errors import DomainError, MalformedInput
-from permcodec.words import format_word, parse_word
 
 Perm = tuple[int, ...]
+
+
+def parse_word(text: str) -> tuple[int, ...]:
+    """Parse word text (compact digits or comma-separated non-negative letters)."""
+    text = text.strip()
+    if not text:
+        return ()
+    try:
+        if "," in text:
+            tokens = text.split(",")
+            if tokens[-1] == "":  # "10," disambiguates a single letter >= 10
+                tokens.pop()
+            letters = tuple(int(tok) for tok in tokens)
+        else:
+            letters = tuple(int(ch) for ch in text)
+    except ValueError as exc:
+        raise MalformedInput(f"unreadable word text: {text!r}") from exc
+    if any(x < 0 for x in letters):
+        raise MalformedInput(f"negative letters in word text: {text!r}")
+    return letters
+
+
+def format_word(word: Sequence[int]) -> str:
+    """Inverse of parse_word: compact digits when all letters are at most 9.
+
+    A one-letter word with a multi-digit letter keeps a trailing comma so the
+    comma form stays distinguishable from compact digits.
+    """
+    if all(x <= 9 for x in word):
+        return "".join(str(x) for x in word)
+    if len(word) == 1:
+        return f"{word[0]},"
+    return ",".join(str(x) for x in word)
 
 
 def validate_permutation(values: Iterable[int]) -> Perm:

@@ -4,7 +4,9 @@ A word family is indexed by an integer m >= 2 and a parity. The odd family
 uses the alphabet {0, ..., 3m-5}, the even family {1, ..., 3m-2}; in both, a
 word may never contain the two-letter factor (3i)(3i-1) for any i >= 1 with
 both letters in the alphabet. Word text is compact digits when every letter
-is at most 9, comma-separated otherwise; both forms parse.
+is at most 9, comma-separated otherwise; both forms parse. Its grammar,
+``parse_word`` and ``format_word``, lives in ``permcodec.perms``, which
+reads and prints permutations in it, and is re-exported here.
 
 A CodePair is the output of the codecs: two equal-length words, one indexed
 by position and one by value. Serialized as JSON {"w": ..., "wp": ...}.
@@ -16,6 +18,7 @@ import json
 from dataclasses import dataclass
 
 from permcodec.errors import DomainError, MalformedInput
+from permcodec.perms import format_word, parse_word  # re-exported: the word-text grammar
 
 Letters = tuple[int, ...]
 
@@ -81,39 +84,6 @@ def validate_word(word: Letters, family: WordFamily) -> bool:
             return False
         before = x
     return True
-
-
-def parse_word(text: str) -> Letters:
-    """Parse word text (compact digits or comma-separated non-negative letters)."""
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        if "," in text:
-            tokens = text.split(",")
-            if tokens[-1] == "":  # "10," disambiguates a single letter >= 10
-                tokens.pop()
-            letters = tuple(int(tok) for tok in tokens)
-        else:
-            letters = tuple(int(ch) for ch in text)
-    except ValueError as exc:
-        raise MalformedInput(f"unreadable word text: {text!r}") from exc
-    if any(x < 0 for x in letters):
-        raise MalformedInput(f"negative letters in word text: {text!r}")
-    return letters
-
-
-def format_word(word: Letters) -> str:
-    """Inverse of parse_word: compact digits when all letters are at most 9.
-
-    A one-letter word with a multi-digit letter keeps a trailing comma so the
-    comma form stays distinguishable from compact digits.
-    """
-    if all(x <= 9 for x in word):
-        return "".join(str(x) for x in word)
-    if len(word) == 1:
-        return f"{word[0]},"
-    return ",".join(str(x) for x in word)
 
 
 @dataclass(frozen=True)

@@ -201,8 +201,10 @@ def load_cache_entries(path):
 
     One ``json.loads`` per line of the text ``str.splitlines`` gives; the
     last valid record for a key wins, and each malformed line is skipped
-    with the same warning on stderr. A file that is not UTF-8 raises
-    ``UnicodeDecodeError``.
+    with the same warning on stderr. A number past the float range (1e400,
+    whose ``int`` raises ``OverflowError``) and brackets nested past the
+    parser's recursion limit (``RecursionError``) make a line malformed
+    too. A file that is not UTF-8 raises ``UnicodeDecodeError``.
     """
     path = Path(path)
     entries = {}
@@ -217,7 +219,7 @@ def load_cache_entries(path):
             record = json.loads(line)
             key = (str(record["pattern"]), int(record["n"]))
             value = int(record["count"])
-        except (ValueError, TypeError, KeyError):
+        except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
             print(f"permcodec: {path}:{lineno}: skipping malformed cache line", file=sys.stderr)
             continue
         entries[key] = value

@@ -158,6 +158,9 @@ def edge_lines():
         '{"pattern":"132","n":4,"count":14}',
         '{"pattern":"132","n":4,"count":4.5}',
         '{"pattern":"132","n":4,"count":null}',
+        '{"pattern":"132","n":1e400,"count":"1"}',  # int(inf) raises OverflowError
+        '{"pattern":"132","n":4,"count":1e400}',
+        "[" * 100_000,  # nested past the parser's recursion limit
         '{"pattern":"","n":4,"count":"1"}',
         '{"pattern":"é","n":4,"count":"1"}',
         '{"pattern":132,"n":4,"count":"1"}',
@@ -205,6 +208,14 @@ def test_an_undecodable_line_is_skipped_with_a_warning(tmp_path, capsys):
     assert {key: store.get(*key) for key in store.entries} == {("132", 2): 2, ("132", 3): 5}
     assert capsys.readouterr().err == "".join(
         f"permcodec: {path}:{lineno}: skipping malformed cache line\n" for lineno in (2, 3))
+
+
+def test_put_escapes_a_comma_pattern_as_json_does(tmp_path):
+    # the one pattern form put cannot write as it is; every pattern up to k = 9 is digits
+    path = tmp_path / "cache.jsonl"
+    CacheStore(path).put("10,1,2,3,4,5,6,7,8,9", 10, 1)
+    assert path.read_bytes() == b'{"pattern":"10,1,2,3,4,5,6,7,8,9","n":10,"count":"1"}\n'
+    assert CacheStore.load(path).get("10,1,2,3,4,5,6,7,8,9", 10) == 1
 
 
 def test_put_starts_a_line_after_a_truncated_last_line(tmp_path):

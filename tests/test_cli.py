@@ -108,6 +108,19 @@ def test_count_skips_a_cache_line_that_is_not_utf8(tmp_path):
     assert out.stderr == f"permcodec: {cache}:1: skipping malformed cache line\n"
 
 
+@pytest.mark.parametrize(
+    "line", ['{"pattern":"132","n":1e400,"count":"1"}', "[" * 100_000],
+    ids=["number-past-float-range", "deep-nest"],
+)
+def test_count_skips_a_cache_line_that_ends_json_loads_in_an_error_of_its_own(tmp_path, line):
+    # int(1e400) raises OverflowError, and the nest a RecursionError in json.loads
+    cache = tmp_path / "c.jsonl"
+    cache.write_text(line + "\n")
+    out = run_cli(["count", "-q", "132", "-n", "5", "--cache", str(cache)], tmp_path)
+    assert (out.returncode, out.stdout) == (0, "42\n")
+    assert out.stderr == f"permcodec: {cache}:1: skipping malformed cache line\n"
+
+
 def test_count_finds_a_record_put_after_a_truncated_last_line(tmp_path):
     cache = tmp_path / "c.jsonl"
     cache.write_text('{"pattern":"132","n":4,"co')  # a writer killed mid-line

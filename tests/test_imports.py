@@ -40,12 +40,17 @@ def test_bare_import_loads_no_submodule():
 
 _MAIN = "from permcodec import cli\ncli.main(sys.argv[1:])"
 
+#: what neither a count nor a verify runs: the report records are tuples, the
+#: word text is parsed in perms, and a cache record of a digit pattern needs no json
+_NOT_ON_THE_LAUNCH_PATH = {"dataclasses", "inspect", "json", "permcodec.words"}
+
 
 def test_a_count_loads_no_word_counts_and_no_pool(tmp_path):
     # nor logging: the cache prints its one warning itself
     loaded = loaded_by(_MAIN, "count", "-q", "1324", "-n", "6", "--cache", str(tmp_path / "c"))
-    assert "permcodec.enumeration" in loaded
+    assert {"permcodec.enumeration", "permcodec.cache"} <= loaded
     assert not loaded & {"permcodec.wordcount", "fractions", "concurrent.futures", "logging"}
+    assert not loaded & _NOT_ON_THE_LAUNCH_PATH
 
 
 #: the ``ext`` fixture's build, loaded as ``permcodec._ext`` from the path in argv[1]
@@ -67,6 +72,8 @@ def test_a_compiled_count_or_verify_loads_no_pure_kernels_and_no_codec(ext, argv
                        env_extra={"PERMCODEC_PURE": ""})
     assert {"permcodec._ext", "permcodec.kernels", "permcodec.enumeration"} <= loaded
     assert not loaded & {"permcodec._pure", "permcodec.coloring", "permcodec.codec"}
+    assert not loaded & _NOT_ON_THE_LAUNCH_PATH
+    assert ("permcodec.cache" in loaded) == (argv[0] == "count")
 
 
 @pytest.mark.parametrize(
@@ -77,6 +84,17 @@ def test_a_compiled_count_or_verify_loads_no_pure_kernels_and_no_codec(ext, argv
 def test_the_table_commands_load_the_word_counts(argv):
     # the control for the count check above: the probe does see the module
     assert "permcodec.wordcount" in loaded_by(_MAIN, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv, module",
+    [(["scan", "--k", "3", "-n", "3", "--format", "json"], "json"),
+     (["encode", "132", "--k", "4"], "permcodec.words")],
+    ids=["scan-json", "encode"],
+)
+def test_the_commands_that_run_json_or_the_words_load_them(argv, module):
+    # the controls for the launch-path checks above
+    assert module in loaded_by(_MAIN, *argv)
 
 
 def test_submodules_are_attributes_of_a_bare_import():
