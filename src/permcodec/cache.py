@@ -10,16 +10,20 @@ range, such as 1e400, included), nests deeper than the JSON parser recurses,
 or holds a count or n with more digits than the interpreter turns into an
 int (``sys.get_int_max_str_digits()``).
 
-Loading indexes the lines in the form that ``put`` writes with bytes
-methods and keeps each count as its digits; a count is converted to an int
-when ``get`` reads it. Every other line is parsed with ``json.loads``, and
-only then is ``json`` imported. ``put`` writes a pattern of ASCII digits as
-it is and escapes any other with ``json.dumps``; it starts its record on a
-new line when the file ends mid-line.
+A file wholly in the form that ``put`` writes (``_put_form``) is checked
+with one regular-expression match and kept as it was read: ``get`` searches
+it backwards for the line that starts with the requested key and converts
+only that count to an int. Any other file is read line by line; there a
+line in ``put``'s form keeps its count as digits until ``get`` reads it,
+and every other line is parsed with ``json.loads``, and only then is
+``json`` imported. ``put`` writes a pattern of ASCII digits as it is and
+escapes any other with ``json.dumps``; it starts its record on a new line
+when the file ends mid-line.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from pathlib import Path
 
@@ -29,6 +33,21 @@ from permcodec.errors import CacheIOError
 _PATTERN, _N, _COUNT, _END = b'{"pattern":"', b'","n":', b',"count":"', b'"}'
 #: ASCII line breaks of str.splitlines that bytes.splitlines does not split at
 _OTHER_BREAKS = b"\x0b\x0c\x1c\x1d\x1e"
+#: makes the match of a file's lines possessive, so it keeps no state per line (Python 3.11+)
+_POSSESSIVE = b"+" if sys.version_info >= (3, 11) else b""
+
+
+def _put_form() -> bytes:
+    """The regular expression of a line in put's form; its groups are the pattern, n and count.
+
+    A field is ASCII digits and never empty, n has no leading zero (JSON has
+    none), and n and the count have at most as many digits as the interpreter
+    turns into an int, ``sys.get_int_max_str_digits()`` (0: no limit).
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = b"[0-9]{1,%d}" % limit if limit else b"[0-9]+"
+    return b"%s([0-9]+)%s((?!0[0-9])%s)%s(%s)%s" % (
+        re.escape(_PATTERN), re.escape(_N), digits, re.escape(_COUNT), digits, re.escape(_END))
 
 
 def _lines(data: bytes) -> list[bytes]:
@@ -39,55 +58,85 @@ def _lines(data: bytes) -> list[bytes]:
     return data.splitlines()
 
 
+def _read_lines(path: Path, data: bytes, form: bytes) -> dict[tuple[str, int], int | bytes]:
+    """The records of a file not wholly in put's form, one line at a time; the last wins."""
+    records: dict[tuple[str, int], int | bytes] = {}
+    line_form = re.compile(form)
+    for lineno, line in enumerate(_lines(data), start=1):
+        match = line_form.fullmatch(line)
+        if match:
+            records[match[1].decode(), int(match[2])] = match[3]
+            continue
+        import json  # only a line off put's form needs it
+
+        try:
+            text = line.decode()
+            if not text.strip():
+                continue
+            record = json.loads(text)
+            key = (str(record["pattern"]), int(record["n"]))
+            value = int(record["count"])
+        # UnicodeDecodeError is a ValueError; int(1e400) raises OverflowError, and a
+        # deep nest of brackets RecursionError
+        except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
+            print(f"permcodec: {path}:{lineno}: skipping malformed cache line", file=sys.stderr)
+            continue
+        records[key] = value
+    return records
+
+
 class CacheStore:
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        #: key -> count, or the count's ASCII digits until get converts them
-        self.entries: dict[tuple[str, int], int | bytes] = {}
+        #: the file as read, when every line of it is in put's form; else empty
+        self._data = b""
+        #: key -> count (or its ASCII digits) put added, and the records of a file not in
+        #: put's form; a record here is later than any in _data
+        self._records: dict[tuple[str, int], int | bytes] = {}
 
     @classmethod
     def load(cls, path: str | Path) -> "CacheStore":
         store = cls(path)
         try:
-            lines = _lines(store.path.read_bytes())
+            data = store.path.read_bytes()
         except FileNotFoundError:
             return store
         except OSError as exc:
             raise CacheIOError(f"cannot read cache {store.path}: {exc}") from exc
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or sys.maxsize
-        for lineno, line in enumerate(lines, start=1):
-            if line.startswith(_PATTERN) and line.endswith(_END):
-                pattern, _, rest = line[len(_PATTERN):-len(_END)].partition(_N)
-                n, _, count = rest.partition(_COUNT)
-                if (pattern.isdigit() and n.isdigit() and count.isdigit()
-                        and (n[0] != 48 or len(n) == 1)  # JSON has no leading zero: 48 is "0"
-                        and len(n) <= limit and len(count) <= limit):
-                    store.entries[pattern.decode(), int(n)] = count
-                    continue
-            import json  # only a line off the indexed form needs it
-
-            try:
-                text = line.decode()
-                if not text.strip():
-                    continue
-                record = json.loads(text)
-                key = (str(record["pattern"]), int(record["n"]))
-                value = int(record["count"])
-            # UnicodeDecodeError is a ValueError; int(1e400) raises OverflowError, and a
-            # deep nest of brackets RecursionError
-            except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
-                print(f"permcodec: {store.path}:{lineno}: skipping malformed cache line",
-                      file=sys.stderr)
-                continue
-            store.entries[key] = value
+        form = _put_form()
+        # lines in put's form, each ended by a newline except perhaps the last
+        if re.fullmatch(b"(?:%s\n)*%s(?:%s)?" % (form, _POSSESSIVE, form), data):
+            store._data = data
+        else:
+            store._records = _read_lines(store.path, data, form)
         return store
 
+    @property
+    def entries(self) -> dict[tuple[str, int], int | bytes]:
+        """Every record by key: its count, or the count's ASCII digits until get converts them."""
+        if self._data:  # parse the kept file once, under the records put added since
+            records = {(match[1].decode(), int(match[2])): match[3]
+                       for match in re.finditer(_put_form(), self._data)}
+            self._data, self._records = b"", records | self._records
+        return self._records
+
     def get(self, pattern_text: str, n: int) -> int | None:
-        count = self.entries.get((pattern_text, n))
+        count = self._records.get((pattern_text, n))
+        if count is None and self._data and pattern_text.isascii() and pattern_text.isdigit():
+            try:
+                key = b"".join((_PATTERN, pattern_text.encode(), _N, b"%d" % n, _COUNT))
+            except ValueError:  # n is past the int-digit limit, so no line in put's form has it
+                return None
+            # each line is in put's form, so the last line that starts with the key is its record
+            at = self._data.rfind(b"\n" + key)
+            if at < 0 and not self._data.startswith(key):
+                return None
+            start = at + 1 + len(key)  # at is -1 for the first line
+            count = self._data[start:self._data.index(b'"', start)]
         return int(count) if isinstance(count, bytes) else count
 
     def put(self, pattern_text: str, n: int, count: int) -> None:
-        self.entries[(pattern_text, n)] = count
+        self._records[(pattern_text, n)] = count
         if pattern_text.isascii() and pattern_text.isdigit():  # every pattern up to k = 9
             pattern = pattern_text.encode()
         else:

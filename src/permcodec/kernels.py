@@ -9,8 +9,8 @@ sweep (``_pure.verify_shard``), which walks one shard's avoiders and
 encodes, fills and checks each. Each backend runs the same algorithms, so
 counts, codes, decode outcomes and sweep reports agree bit for bit. The
 avoider walk behind ``enumerate_avoiders`` yields Python tuples, and the
-occurrence search names an encode's witness and backs ``perms.avoids`` (a
-scan's ``is_layered``), so both are the pure ones on either backend.
+occurrence search names an encode's witness and backs ``perms.avoids``, so
+both are the pure ones on either backend.
 ``_pure`` is imported only where it runs, so a compiled count or verify
 never loads it.
 

@@ -245,7 +245,13 @@ def is_layered(q: Perm) -> bool:
     >>> is_layered((2, 3, 1))
     False
     """
-    return avoids(q, (2, 3, 1)) and avoids(q, (3, 1, 2))
+    # each entry goes on down its layer, or starts one where q[:i] holds 1..i
+    top = 0  # the largest entry before position i
+    for i, v in enumerate(q):
+        if top != i and v != q[i - 1] - 1:
+            return False
+        top = max(top, v)
+    return True
 
 
 def symmetry_orbit(q: Perm) -> frozenset[Perm]:

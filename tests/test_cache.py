@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import oracles
+from permcodec import cache
 from permcodec.cache import CacheStore
 from permcodec.errors import CacheIOError
 
@@ -69,6 +70,9 @@ def assert_loads_as_the_old_reader(path, capsys):
     old_err = capsys.readouterr().err
     store = CacheStore.load(path)
     assert capsys.readouterr().err == old_err
+    assert {key: store.get(*key) for key in old} == old
+    for key in (("132", 1 + max((n for _, n in old), default=0)), ("987654321", 4)):
+        assert key not in old and store.get(*key) is None
     assert {key: store.get(*key) for key in store.entries} == old
     return old
 
@@ -196,6 +200,56 @@ def test_a_file_written_by_put_loads_without_a_json_parse(tmp_path, monkeypatch)
     assert calls == []
     assert {key: again.get(*key) for key in again.entries} == {
         key: store.get(*key) for key in store.entries}
+
+
+def read_line_by_line(*args):
+    raise AssertionError("the file was read line by line")
+
+
+def test_a_file_written_by_put_is_never_read_line_by_line(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    store = CacheStore.load(path)
+    records = [("132", n, count) for n, count in enumerate(catalans(300))]
+    records += [("1324", 10, oracles.A061552[10]), ("21", 0, 1), ("132", 7, 1)]  # 132 at 7 again
+    for r in records:
+        store.put(*r)
+    monkeypatch.setattr(cache, "_read_lines", read_line_by_line)
+    again = CacheStore.load(path)
+    expected = {(q, n): count for q, n, count in records}
+    assert {key: again.get(*key) for key in expected} == expected
+    assert again.get("132", 300) is None and again.get("13", 2) is None
+    again.put("132", 7, 2)
+    assert again.get("132", 7) == 2
+    assert {key: again.get(*key) for key in again.entries} == expected | {("132", 7): 2}
+
+
+def test_a_file_in_puts_form_is_read_in_one_pass_up_to_the_digit_limit(
+        tmp_path, monkeypatch, capsys):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "cache.jsonl"
+    with monkeypatch.context() as patched:
+        patched.setattr(cache, "_read_lines", read_line_by_line)
+        path.write_text(record("132", 4, 14) + "\n" + record("1324", 5, 103))  # no final newline
+        store = CacheStore.load(path)
+        assert (store.get("132", 4), store.get("1324", 5), store.get("132", 5)) == (14, 103, None)
+        path.write_text(record("132", 9, "7" * limit) + "\n")
+        assert CacheStore.load(path).get("132", 9) == int("7" * limit)
+    path.write_text(record("132", 9, "7" * (limit + 1)) + "\n")
+    assert CacheStore.load(path).get("132", 9) is None
+    assert capsys.readouterr().err == f"permcodec: {path}:1: skipping malformed cache line\n"
+
+
+@pytest.mark.parametrize("other", [
+    '{"pattern": "132", "n": 5, "count": "7"}',
+    '{"pattern":"\\u0031\\u0033\\u0032","n":5,"count":"7"}',
+], ids=["spaces", "escaped"])
+def test_the_later_record_wins_across_the_two_forms(tmp_path, capsys, other):
+    path = tmp_path / "cache.jsonl"
+    own = record("132", 5, 6)
+    for lines, count in (((own, other), 7), ((other, own), 6)):
+        path.write_text("\n".join(lines) + "\n")
+        assert CacheStore.load(path).get("132", 5) == count
+        assert assert_loads_as_the_old_reader(path, capsys) == {("132", 5): count}
 
 
 def test_an_undecodable_line_is_skipped_with_a_warning(tmp_path, capsys):

@@ -63,16 +63,21 @@ spec.loader.exec_module(sys.modules["permcodec._ext"])
 
 
 @pytest.mark.parametrize(
-    "argv", [["count", "-q", "1324", "-n", "6"], ["verify", "--k", "6", "-n", "5"]],
-    ids=["count", "verify"],
+    "argv",
+    [["count", "-q", "1324", "-n", "6"], ["verify", "--k", "6", "-n", "5"],
+     ["scan", "--k", "4", "-n", "6"], ["scan", "--k", "4", "-n", "6", "--format", "json"]],
+    ids=["count", "verify", "scan", "scan-json"],
 )
 def test_a_compiled_count_or_verify_loads_no_pure_kernels_and_no_codec(ext, argv, tmp_path):
-    # the pure twins (and the coloring they build on) load only where they run
-    loaded = loaded_by(_MAIN_COMPILED, ext.__file__, *argv, "--cache", str(tmp_path / "c"),
+    # the pure twins (and the coloring they build on) load only where they run, and a
+    # scan's is_layered runs neither
+    cache = [] if argv[0] == "scan" else ["--cache", str(tmp_path / "c")]
+    loaded = loaded_by(_MAIN_COMPILED, ext.__file__, *argv, *cache,
                        env_extra={"PERMCODEC_PURE": ""})
     assert {"permcodec._ext", "permcodec.kernels", "permcodec.enumeration"} <= loaded
     assert not loaded & {"permcodec._pure", "permcodec.coloring", "permcodec.codec"}
-    assert not loaded & _NOT_ON_THE_LAUNCH_PATH
+    if argv[0] != "scan":  # a scan prints its table with json and the word counts
+        assert not loaded & _NOT_ON_THE_LAUNCH_PATH
     assert ("permcodec.cache" in loaded) == (argv[0] == "count")
 
 

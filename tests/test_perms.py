@@ -145,6 +145,12 @@ def test_is_layered_examples():
     assert not is_layered((3, 1, 2))
 
 
+def test_is_layered_is_avoiding_231_and_312():
+    for n in range(9):
+        for q in permutations(range(1, n + 1)):
+            assert is_layered(q) == (avoids(q, (2, 3, 1)) and avoids(q, (3, 1, 2))), q
+
+
 @given(perms(max_n=6))
 def test_symmetry_class_is_orbit_minimum_and_invariant(q):
     orbit = symmetry_orbit(q)
