@@ -432,17 +432,16 @@ done:
 }
 
 /* ---------------------------------------------------------------------------
- * The codec and the verify sweep: encode, decode, encode_levels and
- * verify_shard, ported one for one from their twins in permcodec._pure (see
- * those for the algorithms), so that codes, decode outcomes and sweep reports
- * are bit-exact. Three cores, the staircase floor, the per-level encode and
+ * The codec and the verify sweep: encode, decode and verify_shard, ported
+ * one for one from their twins in permcodec._pure (see those for the
+ * algorithms), so that codes, decode outcomes and sweep reports are
+ * bit-exact. Three cores, the staircase floor, the per-level encode and
  * the greedy fill, serve every entry. encode and decode each do a whole codec
  * operation: encode checks that p is a permutation of 1..n and runs the floor
  * before it encodes; decode checks every letter against the alphabet of the
  * caller's k, then fills, runs the floor over the fill and re-encodes it into
  * scratch, and raises permcodec.errors.MalformedInput or NotInImage with the
- * messages of its twin. encode_levels, the bare encode, serves verify's
- * duplicate search. Entries and letters are C integers: permcodec.kernels
+ * messages of its twin. Entries and letters are C integers: permcodec.kernels
  * lowers every k to at most 2n + 5, so every level and offset fits 64 bits,
  * and it hands decode the caller's k only up to MAX_K. The cores report a
  * failed allocation by their result, and the entries raise MemoryError
@@ -773,34 +772,6 @@ code_of(const long long *w, Py_ssize_t n)
     Py_XDECREF(w_obj);
     Py_XDECREF(wp_obj);
     return pair;
-}
-
-static PyObject *
-encode_levels(PyObject *self, PyObject *args)
-{
-    PyObject *p_obj, *seq, *result = NULL;
-    long long k;
-    if (!PyArg_ParseTuple(args, "OL:encode_levels", &p_obj, &k))
-        return NULL;
-    if (!(seq = PySequence_Fast(p_obj, "p must be a sequence")))
-        return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    Work s = {0};
-    if (!work_init(&s, n, 0)) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    if (!read_entries(seq, s.p, n))
-        goto done;
-    if (!encode_core(&s, s.p, s.w, k)) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    result = code_of(s.w, n);
-done:
-    work_free(&s);
-    Py_DECREF(seq);
-    return result;
 }
 
 /* The code (w, wp) of p for k, or None when p holds the length-k staircase; MalformedInput
@@ -1323,7 +1294,6 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS, "Avoider counts of q for the lengths 0..n."},
     {"encode", encode, METH_VARARGS, "The code (w, wp) of p, or None when p holds the staircase."},
     {"decode", decode, METH_VARARGS, "The avoider whose code for k is (w, wp)."},
-    {"encode_levels", encode_levels, METH_VARARGS, "The code (w, wp) of an avoider p."},
     {"verify_shard", verify_shard, METH_VARARGS,
      "The round-trip, image and first-letter defects of q's avoiders under the code for k."},
     {NULL, NULL, 0, NULL},

@@ -4,12 +4,10 @@ Reference implementation of the inner loops. ``permcodec._ext``
 (``_ext.c``) compiles, with the same algorithms, ``count_avoiders_dfs``, the
 memoized count engine; the codec's ``encode`` and ``decode``, each one call
 that checks its input and runs the level passes ``staircase_floor``,
-``encode_levels`` and ``decode_fill`` (of the passes, only ``encode_levels``
-is an entry of its own there, for verify's duplicate search); and
-``verify_shard``, the sweep that walks one shard's avoiders as ``avoiders``
-does and encodes, fills and checks each. ``first_occurrence`` and
-``avoiders``, the walk that yields every avoider, exist only here and serve
-both backends. ``permcodec.kernels``
+``encode_levels`` and ``decode_fill``; and ``verify_shard``, the sweep
+that walks one shard's avoiders as ``avoiders`` does and encodes, fills and
+checks each. ``first_occurrence`` and ``avoiders``, the walk that yields
+every avoider, exist only here and serve both backends. ``permcodec.kernels``
 answers a count with ``len(q) < 2`` or ``n < len(q)`` before either engine
 starts. Haystacks may be any sequences of distinct integers; patterns are
 permutations of 1..k. ``first_occurrence`` returns 1-based indices, as every

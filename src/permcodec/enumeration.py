@@ -16,15 +16,16 @@ pattern, so a count, each class of a scan and a whole bound table cost one.
 Every operation charges the budget up front, once per engine call: the
 injective-prefix bound sum_j n!/(n-j)!, which ignores pruning on purpose, so
 a scan pays it once per symmetry class. Past the budget it raises
-ScaleRefused instead of hanging. Counts run in one process. Parallel
-verification shards by first entry; shards are reduced in first-entry
-order, so results are byte-identical to a single-threaded run.
+ScaleRefused instead of hanging. Counts run in one thread. Parallel
+verification shards by first entry and runs the shards on a thread pool:
+the compiled sweep releases the GIL, so its shards run side by side, while
+the pure sweep holds it and gains nothing. Shards are reduced in
+first-entry order, so results are byte-identical to a single-threaded run.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from itertools import permutations
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
@@ -87,28 +88,15 @@ def enumerate_avoiders(
     return kernels.avoiders(q, n)
 
 
-def _exit_with_parent() -> None:
-    """Pool initializer: exit once the process that started the pool dies."""
-    from multiprocessing import parent_process  # already loaded in a worker
-    threading.Thread(target=_exit_after, args=(parent_process(),), daemon=True).start()
-
-
-def _exit_after(parent) -> None:
-    parent.join()  # the pool's pipe; under forkserver os.getppid() is the fork server
-    os._exit(1)
-
-
 def _map_shards(worker, shard_args: list, jobs: int) -> list:
-    """Run shard tasks in order: in-process, or on min(jobs, shards, CPUs) workers."""
+    """worker(*args) for each shard's args, in order, on min(jobs, shards, CPUs) threads."""
     workers = min(jobs, len(shard_args), os.cpu_count() or 1)
     if workers <= 1:
-        return [worker(args) for args in shard_args]
-    import concurrent.futures  # only a pooled verify pays for the import
+        return [worker(*args) for args in shard_args]
+    from concurrent.futures import ThreadPoolExecutor  # only a pooled verify pays for the import
 
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_exit_with_parent
-    ) as pool:
-        return list(pool.map(worker, shard_args))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, *zip(*shard_args)))
 
 
 def count_avoiders(
@@ -173,11 +161,6 @@ class VerificationReport(NamedTuple):
         return {**record, "passed": self.passed, "examples": examples}
 
 
-def _verify_shard(args: tuple) -> tuple:
-    """kernels.verify_shard(*args), by a name that a pool worker can unpickle."""
-    return kernels.verify_shard(*args)
-
-
 def verify_injection(
     k: int,
     n: int,
@@ -204,7 +187,8 @@ def verify_injection(
     counts = dict.fromkeys([*SHARD_DEFECTS, "duplicate"], 0)
     examples: dict[str, list[str]] = {key: [] for key in counts}
     total = 0
-    for shard_total, shard_counts, shard_found in _map_shards(_verify_shard, shard_args, jobs):
+    shards = _map_shards(kernels.verify_shard, shard_args, jobs)
+    for shard_total, shard_counts, shard_found in shards:
         total += shard_total
         for key, count, found in zip(SHARD_DEFECTS, shard_counts, shard_found):
             counts[key] += count
@@ -213,7 +197,7 @@ def verify_injection(
         seen: dict[tuple, str] = {}
         for p in kernels.avoiders(q, n):
             text = format_permutation(p)
-            first = seen.setdefault(kernels.encode_levels(p, k), text)
+            first = seen.setdefault(kernels.encode(p, k), text)
             if first != text:
                 counts["duplicate"] += 1
                 examples["duplicate"].append(f"{first}={text}")

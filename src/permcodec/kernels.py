@@ -3,10 +3,9 @@
 ``permcodec._ext``, built from ``_ext.c``, compiles the memoized count
 engine (see ``_pure.count_avoiders_dfs``), the codec's ``encode`` and
 ``decode`` (see ``_pure.encode`` and ``decode``), each one call that checks
-its input and runs the level passes, the bare per-level encode
-``encode_levels`` that verify's duplicate search calls, and the verify
-sweep (``_pure.verify_shard``), which walks one shard's avoiders and
-encodes, fills and checks each. Each backend runs the same algorithms, so
+its input and runs the level passes, and the verify sweep
+(``_pure.verify_shard``), which walks one shard's avoiders and encodes,
+fills and checks each. Each backend runs the same algorithms, so
 counts, codes, decode outcomes and sweep reports agree bit for bit. The
 avoider walk behind ``enumerate_avoiders`` yields Python tuples, and the
 occurrence search names an encode's witness and backs ``perms.avoids``, so
@@ -104,11 +103,6 @@ def decode(w, wp, k: int) -> tuple[int, ...]:
     if k > _COMPILED_MAX_K:
         from permcodec import _pure as impl
     return impl.decode(w, wp, k, _lowered(k, len(w)))
-
-
-def encode_levels(p, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The code (w, wp) of p, a permutation of 1..n avoiding the length-k staircase, k >= 3."""
-    return _impl.encode_levels(p, _lowered(k, len(p)))
 
 
 def verify_shard(q, k: int, n: int, first: int, cap: int):

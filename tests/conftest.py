@@ -56,10 +56,11 @@ def cli_env(env_extra=None):
 def run_cli(args, cwd, env_extra=None, timeout=CLI_TIMEOUT):
     """Run ``python -m permcodec *args`` in ``cwd`` and return the CompletedProcess.
 
-    The environment comes from ``cli_env``. The child runs in its own process
-    group, and the whole group is killed when the run times out or the test
-    is interrupted: killing only the child would leave its ``--jobs`` pool
-    workers running.
+    The environment comes from ``cli_env``. The CLI starts no child process
+    (its ``--jobs`` pool is threads), so killing the child ends the run. The
+    child still runs in its own process group, and the whole group is killed
+    when the run times out or the test is interrupted, only as a guard: a
+    process the CLI started would be killed with it.
     """
     with subprocess.Popen(
         [sys.executable, "-m", "permcodec", *args],

@@ -472,40 +472,34 @@ def _eventually(condition, seconds):
     return True
 
 
-#: runs the CLI's main() after fixing the multiprocessing start method to argv[1]
-_CLI_WITH_START_METHOD = (
-    "import multiprocessing, sys\n"
-    "from permcodec.cli import main\n"
-    "multiprocessing.set_start_method(sys.argv[1])\n"
-    "sys.exit(main(sys.argv[2:]))\n"
-)
+def _threads(pid):
+    """The number of threads of process ``pid``, or 0 once it has ended."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return 0
+    return int(status.split("\nThreads:", 1)[1].split()[0])
 
 
 @pytest.mark.skipif(
     not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
-    reason="reads sessions from /proc and needs a two-worker pool",
+    reason="reads sessions from /proc and needs a two-thread pool",
 )
-@pytest.mark.parametrize("method", [None, "fork", "forkserver", "spawn"])
-def test_pool_workers_exit_when_the_cli_is_killed(tmp_path, method):
+def test_pool_workers_exit_when_the_cli_is_killed(tmp_path):
     verify = ["verify", "--k", "6", "-n", "11", "--jobs", "2"]  # runs for tens of seconds
-    if method is None:  # the interpreter's default start method
-        argv = [sys.executable, "-m", "permcodec", *verify]
-    else:
-        argv = [sys.executable, "-c", _CLI_WITH_START_METHOD, method, *verify]
-    # the CLI and its two workers, plus the fork server that starts them
-    members = 4 if method == "forkserver" else 3
     proc = subprocess.Popen(
-        argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        [sys.executable, "-m", "permcodec", *verify],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         cwd=tmp_path, env=cli_env(), start_new_session=True,
     )
     try:
-        assert _eventually(
-            lambda: len(_live_session_members(proc.pid)) >= members, 60
-        ), "the two pool workers never started"
-        proc.kill()  # the parent only; its workers stay in the session
+        # the main thread and the two pool threads, all in the one CLI process
+        assert _eventually(lambda: _threads(proc.pid) >= 3, 60), "the two pool threads never started"
+        assert _live_session_members(proc.pid) == [proc.pid]
+        proc.kill()
         proc.wait()
         assert _eventually(lambda: not _live_session_members(proc.pid), 5), (
-            f"workers still running: {_live_session_members(proc.pid)}"
+            f"still running: {_live_session_members(proc.pid)}"
         )
     finally:
         with contextlib.suppress(ProcessLookupError):

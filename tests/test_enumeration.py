@@ -1,6 +1,4 @@
 import concurrent.futures
-import functools
-import multiprocessing
 from itertools import permutations
 from math import factorial
 
@@ -99,31 +97,35 @@ def test_verify_injection_handles_the_empty_length():
     assert report.passed and report.total == 1
 
 
-def test_verify_injection_parallel_matches_serial():
+def test_verify_injection_parallel_matches_serial(monkeypatch):
+    # two real threads on any host, one CPU or many
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     serial = verify_injection(4, 6)
     parallel = verify_injection(4, 6, jobs=4)
     assert serial == parallel
 
 
-@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
-def test_real_pool_under_each_start_method(monkeypatch, method):
-    # two real workers, started the way the method starts them (under
-    # forkserver a worker's parent is the fork server, not this process)
-    pool = functools.partial(
-        concurrent.futures.ProcessPoolExecutor,
-        mp_context=multiprocessing.get_context(method),
-    )
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+def test_a_shards_error_crosses_the_pool_unchanged(monkeypatch, capsys):
+    shard = kernels.verify_shard
+
+    def exhausted(q, k, n, first, cap):
+        if first == 3:
+            raise MemoryError
+        return shard(q, k, n, first, cap)
+
+    monkeypatch.setattr(kernels, "verify_shard", exhausted)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    assert verify_injection(4, 6, jobs=2) == verify_injection(4, 6)
+    with pytest.raises(MemoryError):
+        verify_injection(4, 6, jobs=2)
+    assert cli.main(["verify", "--k", "4", "-n", "6", "--jobs", "2"]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "out of memory" in err
+    assert "Traceback" not in err
 
 
 class _RecordingPool:
-    """Stands in for the process pool: records its size, runs shards in-process.
-
-    The worker initializer is not called: in the test process its watcher
-    thread would end the test run if the runner's parent exited.
-    """
+    """Stands in for the thread pool: records its size, runs shards in this thread."""
 
     sizes: list = []
 
@@ -136,8 +138,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, args):
-        return map(fn, args)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize(
@@ -152,7 +154,7 @@ class _RecordingPool:
 )
 def test_pool_size_is_clamped(monkeypatch, cpus, n, jobs, size):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
     report = verify_injection(4, n, jobs=jobs)
     assert report.passed and report.total == len(oracles.brute_avoiders(staircase_pattern(4), n))
@@ -169,7 +171,7 @@ def test_pool_size_is_clamped(monkeypatch, cpus, n, jobs, size):
 )
 def test_counts_run_in_one_process_for_any_jobs(monkeypatch, tmp_path, capsys, argv):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
     assert cli.main(with_cache(argv, tmp_path / "c.jsonl")) == 0
     assert capsys.readouterr().out

@@ -53,6 +53,14 @@ def test_a_count_loads_no_word_counts_and_no_pool(tmp_path):
     assert not loaded & _NOT_ON_THE_LAUNCH_PATH
 
 
+def test_a_pooled_verify_runs_threads_and_no_processes():
+    # two CPUs on any host, so that --jobs 2 starts a pool
+    code = "import os\nos.cpu_count = lambda: 2\n" + _MAIN
+    loaded = loaded_by(code, "verify", "--k", "6", "-n", "5", "--jobs", "2")
+    assert "concurrent.futures.thread" in loaded
+    assert not loaded & {"multiprocessing", "concurrent.futures.process"}
+
+
 #: the ``ext`` fixture's build, loaded as ``permcodec._ext`` from the path in argv[1]
 _MAIN_COMPILED = """\
 import importlib.util
