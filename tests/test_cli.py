@@ -481,15 +481,29 @@ def _threads(pid):
     return int(status.split("\nThreads:", 1)[1].split()[0])
 
 
+#: runs the CLI's main() after fixing the multiprocessing start method to argv[1]
+_CLI_WITH_START_METHOD = (
+    "import multiprocessing, sys\n"
+    "from permcodec.cli import main\n"
+    "multiprocessing.set_start_method(sys.argv[1])\n"
+    "sys.exit(main(sys.argv[2:]))\n"
+)
+
+
 @pytest.mark.skipif(
     not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
     reason="reads sessions from /proc and needs a two-thread pool",
 )
-def test_pool_workers_exit_when_the_cli_is_killed(tmp_path):
+@pytest.mark.parametrize("method", [None, "fork", "forkserver", "spawn"])
+def test_pool_workers_exit_when_the_cli_is_killed(tmp_path, method):
+    # whatever the multiprocessing start method, the pool starts no process
     verify = ["verify", "--k", "6", "-n", "11", "--jobs", "2"]  # runs for tens of seconds
+    if method is None:  # the interpreter's default start method
+        argv = [sys.executable, "-m", "permcodec", *verify]
+    else:
+        argv = [sys.executable, "-c", _CLI_WITH_START_METHOD, method, *verify]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "permcodec", *verify],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         cwd=tmp_path, env=cli_env(), start_new_session=True,
     )
     try:

@@ -1,4 +1,6 @@
 import concurrent.futures
+import multiprocessing
+import os
 from itertools import permutations
 from math import factorial
 
@@ -103,6 +105,29 @@ def test_verify_injection_parallel_matches_serial(monkeypatch):
     serial = verify_injection(4, 6)
     parallel = verify_injection(4, 6, jobs=4)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_real_pool_under_each_start_method(monkeypatch, method):
+    # two real pool threads, under each multiprocessing start method: every
+    # shard runs in this process, and no child process is started
+    shard = kernels.verify_shard
+    pids = []
+
+    def recording(*args):
+        pids.append(os.getpid())
+        return shard(*args)
+
+    monkeypatch.setattr(kernels, "verify_shard", recording)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        assert verify_injection(4, 6, jobs=2) == verify_injection(4, 6)
+        assert multiprocessing.active_children() == []
+    finally:
+        multiprocessing.set_start_method(before, force=True)
+    assert pids and set(pids) == {os.getpid()}
 
 
 def test_a_shards_error_crosses_the_pool_unchanged(monkeypatch, capsys):
