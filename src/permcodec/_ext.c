@@ -2,9 +2,13 @@
  * Compiled kernels for permcodec.kernels: the avoider count, the codec's
  * encode and decode, each one call that checks its input and runs the level
  * passes, and the verify sweep, which walks the avoiders and sends each
- * through those passes. setup.py passes SOURCE_CRC32, the CRC-32 of this
- * file, which the module exposes so that permcodec.kernels can tell a stale
- * build from a fresh one.
+ * through those passes. The codec's passes keep their constant work small:
+ * the fill walks flags for the levels its letters name, the coloring
+ * bisects a stack of spans, an odd k's first odd level reads the mask that
+ * the avoidance floor leaves, and encode and decode keep one scratch between
+ * calls. setup.py passes SOURCE_CRC32, the CRC-32 of this file, which the
+ * module exposes so that permcodec.kernels can tell a stale build from a
+ * fresh one.
  *
  * count_avoiders_dfs(q, n) returns the avoider counts of q for every length
  * 0..n, with the memoized engine of permcodec._pure.count_avoiders_dfs (see
@@ -447,7 +451,8 @@ done:
  * failed allocation by their result, and the entries raise MemoryError
  * holding the GIL. The sweep runs them without the GIL, so their buffers then
  * come from PyMem_Raw*; under the GIL they come from PyMem_*, whose small
- * blocks are cheaper.
+ * blocks are cheaper, and encode and decode reuse one scratch while it stays
+ * within SCRATCH_BYTES.
  */
 
 #define MAX_K ((long long)1 << 62)
@@ -535,14 +540,21 @@ floor_free(Floor *f)
     *f = (Floor){.raw = f->raw};
 }
 
+/* One block for floors, len and cap, then the tails. */
+static size_t
+floor_block_bytes(Py_ssize_t layers)
+{
+    return (3 * layers + 1) * sizeof(Py_ssize_t) + layers * sizeof(Tail *);
+}
+
 /* Empty f for the length-k staircase, k >= 3, keeping the buffers it has; 0 on a
  * failed allocation, when the caller still frees it. */
 static int
 floor_init(Floor *f, Py_ssize_t k)
 {
     Py_ssize_t layers = k / 2 + 1;
-    if (layers > f->room) {  /* one block: floors, len and cap, then the tails */
-        size_t size = (3 * layers + 1) * sizeof(Py_ssize_t) + layers * sizeof(Tail *);
+    if (layers > f->room) {
+        size_t size = floor_block_bytes(layers);
         floor_free(f);
         if (!(f->floors = mem_resize(f->raw, NULL, size)))
             return 0;
@@ -609,25 +621,36 @@ offset_of(long long level, long long k)
 /* The inputs, outputs and scratch of the cores, for n entries. */
 typedef struct {
     Py_ssize_t n;
+    size_t bytes;                         /* the size of the block at p */
     Py_ssize_t *p, *out;                  /* a permutation to encode, and a fill */
     long long *w, *again;                 /* codes: n letters by position, then n by value */
     Py_ssize_t *rest, *values, *lo, *hi;  /* encode: the unlettered positions, their values, spans */
     Py_ssize_t *slots, *marked, *pool;    /* fill: one level's slots, its marked and other values */
-    long long *levels;
-    char *mask;
+    char *mask, *present;                 /* per entry; the fill's levels, 2n + 6 flags */
     Floor f;
 } Work;
 
-/* One block for all, from PyMem_Raw* if raw; 0 on a failed allocation, when the
- * caller still frees s. */
+static size_t
+work_bytes(Py_ssize_t n)
+{
+    return 9 * n * sizeof(Py_ssize_t) + 4 * n * sizeof(long long) + 3 * n + 6;
+}
+
+/* Lay s out for n entries in one block from PyMem_Raw* if raw, keeping a block that is large
+ * enough; 0 on a failed allocation, when s keeps the block it had and the caller frees it. */
 static int
 work_init(Work *s, Py_ssize_t n, int raw)
 {
-    s->n = n;
+    size_t size = work_bytes(n);
     s->f.raw = raw;
-    s->p = mem_resize(raw, NULL, 9 * n * sizeof(Py_ssize_t) + 5 * n * sizeof(long long) + n + 1);
-    if (!s->p)
-        return 0;
+    if (size > s->bytes) {
+        Py_ssize_t *block = mem_resize(raw, s->p, size);
+        if (!block)
+            return 0;
+        s->p = block;
+        s->bytes = size;
+    }
+    s->n = n;
     s->out = s->p + n;
     s->rest = s->out + n;
     s->values = s->rest + n;
@@ -638,8 +661,8 @@ work_init(Work *s, Py_ssize_t n, int raw)
     s->pool = s->marked + n;
     s->w = (long long *)(s->pool + n);
     s->again = s->w + 2 * n;
-    s->levels = s->again + 2 * n;
-    s->mask = (char *)(s->levels + n);
+    s->mask = (char *)(s->again + 2 * n);
+    s->present = s->mask + n;
     return 1;
 }
 
@@ -648,33 +671,92 @@ work_free(Work *s)
 {
     mem_free(s->f.raw, s->p);
     floor_free(&s->f);
+    *s = (Work){0};
 }
 
-/* The red/blue mask of permcodec.coloring.canonical_coloring over values[0..count). */
+/* encode and decode hold the GIL from start to end, so they share one scratch, kept between
+ * calls while its block and floor buffers total at most SCRATCH_BYTES. A call finds it busy
+ * when it re-enters through an entry's __index__ (or another thread runs while that code
+ * does); such a call, and one that would grow the scratch past SCRATCH_BYTES, takes a scratch
+ * of its own and frees it. The verify sweep keeps a raw scratch of its own. */
+#define SCRATCH_BYTES (256 * 1024)
+
+static Work scratch;
+static int scratch_busy;
+
+static size_t
+floor_bytes(const Floor *f)
+{
+    size_t size = f->room ? floor_block_bytes(f->room) : 0;
+    for (Py_ssize_t j = 0; j < f->room; j++)
+        size += f->cap[j] * sizeof(Tail);
+    return size;
+}
+
+/* The shared scratch or own, laid out for n entries; NULL on a failed allocation. */
+static Work *
+work_take(Work *own, Py_ssize_t n)
+{
+    size_t size = work_bytes(n) > scratch.bytes ? work_bytes(n) : scratch.bytes;
+    Work *s = !scratch_busy && size + floor_bytes(&scratch.f) <= SCRATCH_BYTES ? &scratch : own;
+    if (!work_init(s, n, 0))
+        return NULL;
+    scratch_busy |= s == &scratch;
+    return s;
+}
+
+/* Free own, or free the shared scratch for the next call; drop it if its floors outgrew
+ * SCRATCH_BYTES. */
+static void
+work_give(Work *s)
+{
+    if (s == &scratch) {
+        scratch_busy = 0;
+        if (scratch.bytes + floor_bytes(&scratch.f) <= SCRATCH_BYTES)
+            return;
+    }
+    work_free(s);
+}
+
+/* The red/blue mask of permcodec.coloring.canonical_coloring over values[0..count), on a
+ * stack of spans (least earlier red, red) in lo and hi. Span lows never rise, so a new span
+ * (least red, v) contains every kept span whose top is below v: those are popped, and the
+ * kept spans have falling tops and falling lows. So v lies in some span exactly when the
+ * newest kept span whose top is above v has its low below v, found by bisection. */
 static void
 color(const Py_ssize_t *values, Py_ssize_t count, char *red, Py_ssize_t *lo, Py_ssize_t *hi)
 {
     Py_ssize_t spans = 0, least_red = INF, min_blue = INF;
     for (Py_ssize_t x = 0; x < count; x++) {
-        Py_ssize_t v = values[x];
+        Py_ssize_t v = values[x], above = 0, high = spans;
         int blue = v > min_blue;
-        for (Py_ssize_t s = 0; !blue && s < spans; s++)
-            blue = lo[s] < v && v < hi[s];
+        if (!blue && v > least_red) {  /* no span holds a value below the least red */
+            while (above < high) {  /* above: the kept spans whose tops are above v */
+                Py_ssize_t mid = above + (high - above) / 2;
+                if (hi[mid] > v)
+                    above = mid + 1;
+                else
+                    high = mid;
+            }
+            blue = above && lo[above - 1] < v;
+        }
         red[x] = !blue;
         if (blue) {
             min_blue = v < min_blue ? v : min_blue;
         } else if (v < least_red) {
             least_red = v;
         } else {
-            lo[spans] = least_red;
-            hi[spans++] = v;
+            lo[above] = least_red;
+            hi[above] = v;
+            spans = above + 1;
         }
     }
 }
 
-/* The code of p, n entries in 1..n, for k, into w (2n letters). 0 on a failed allocation. */
+/* The code of p, n entries in 1..n, for k, into w (2n letters); floored: floor_over ran over p
+ * for k and left its mask. 0 on a failed allocation. */
 static int
-encode_core(Work *s, const Py_ssize_t *p, long long *w, long long k)
+encode_core(Work *s, const Py_ssize_t *p, long long *w, long long k, int floored)
 {
     Py_ssize_t n = s->n, *rest = s->rest, *values = s->values, count = n;
     long long *wp = w + n;
@@ -698,12 +780,14 @@ encode_core(Work *s, const Py_ssize_t *p, long long *w, long long k)
         } else if (level % 2) {  /* entries below the floor of those after them get offset */
             if (level - 1 > count)
                 continue;  /* no entry starts a marker longer than the rest */
-            if (!floor_init(&s->f, (Py_ssize_t)level - 2))
-                return 0;
-            for (Py_ssize_t x = count; x-- > 0;) {
-                mask[x] = values[x] < s->f.floors[0];
-                if (!floor_push(&s->f, values[x]))
+            if (level < k || !floored) {  /* level k reads the mask floor_over left */
+                if (!floor_init(&s->f, (Py_ssize_t)level - 2))
                     return 0;
+                for (Py_ssize_t x = count; x-- > 0;) {
+                    mask[x] = values[x] < s->f.floors[0];
+                    if (!floor_push(&s->f, values[x]))
+                        return 0;
+                }
             }
             for (Py_ssize_t x = 0; x < count; x++) {
                 if (mask[x])
@@ -749,7 +833,11 @@ raise_error(const char *name, const char *format, ...)
 }
 
 /* The floor of the length-k staircase over p, n entries (0 iff p avoids it), or -1 on a
- * failed allocation. */
+ * failed allocation. When it runs (k <= n), it leaves in s->mask the entries that lie below
+ * floors[1] before their push. For an odd k, layers 1 and up of the floor are the layers of
+ * the (k-2)-floor: the same kinds and the same updates, and each layer reads only the layers
+ * above it. So floors[1] is the (k-2)-floor over the entries pushed so far, and the mask is
+ * the one that encode_core's level k builds. */
 static Py_ssize_t
 floor_over(Work *s, const Py_ssize_t *p, long long k)
 {
@@ -757,9 +845,11 @@ floor_over(Work *s, const Py_ssize_t *p, long long k)
         return 0;
     if (!floor_init(&s->f, (Py_ssize_t)k))
         return -1;
-    for (Py_ssize_t i = s->n; i-- > 0;)
+    for (Py_ssize_t i = s->n; i-- > 0;) {
+        s->mask[i] = p[i] < s->f.floors[1];
         if (!floor_push(&s->f, p[i]))
             return -1;
+    }
     return s->f.floors[0];
 }
 
@@ -789,42 +879,37 @@ encode(PyObject *self, PyObject *args)
     if (!(seq = PySequence_Fast(p_obj, "p must be a sequence")))
         return NULL;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(seq), floor;
-    Work s = {0};
-    if (!work_init(&s, n, 0)) {
+    Work own = {0}, *s = work_take(&own, n);
+    if (!s) {
         PyErr_NoMemory();
         goto done;
     }
-    memset(s.mask, 0, n);  /* the values seen so far */
+    memset(s->mask, 0, n);  /* the values seen so far */
     for (Py_ssize_t i = 0; i < n; i++) {
         int overflow;
         long long v = PyLong_AsLongLongAndOverflow(PySequence_Fast_GET_ITEM(seq, i), &overflow);
         if (v == -1 && PyErr_Occurred())
             goto done;
-        if (overflow || v < 1 || v > n || s.mask[v - 1]++) {
+        if (overflow || v < 1 || v > n || s->mask[v - 1]++) {
             PyObject *t = PySequence_Tuple(seq);
             if (t)
                 raise_error("MalformedInput", "not a permutation of 1..%zd: %R", n, t);
             Py_XDECREF(t);
             goto done;
         }
-        s.p[i] = (Py_ssize_t)v;
+        s->p[i] = (Py_ssize_t)v;
     }
-    if ((floor = floor_over(&s, s.p, k)) < 0 || (!floor && !encode_core(&s, s.p, s.w, k))) {
+    if ((floor = floor_over(s, s->p, k)) < 0
+        || (!floor && !encode_core(s, s->p, s->w, k, k <= n))) {
         PyErr_NoMemory();
         goto done;
     }
-    result = floor ? Py_NewRef(Py_None) : code_of(s.w, n);
+    result = floor ? Py_NewRef(Py_None) : code_of(s->w, n);
 done:
-    work_free(&s);
+    if (s)
+        work_give(s);
     Py_DECREF(seq);
     return result;
-}
-
-static int
-compare_levels(const void *a, const void *b)
-{
-    long long x = *(const long long *)a, y = *(const long long *)b;
-    return (x > y) - (x < y);
 }
 
 /* The first index of sorted[0..count) whose value is above x (right) or at least x (left). */
@@ -859,100 +944,129 @@ stuck(const char **why, const char *message)
     return STUCK;
 }
 
-/* The greedy fill of the code in s->w, n letters a word, none negative, for k in
- * 3..MAX_K, into s->out: FILLED, STUCK with *why the NotInImage message, or NO_MEMORY. */
+/* Fill the slots of one level of the code in s->w for k into s->out, the levels below it
+ * filled: FILLED, STUCK with *why the NotInImage message, or NO_MEMORY. */
+static int
+fill_level(Work *s, long long k, long long level, const char **why)
+{
+    const long long *w = s->w, *wp = w + s->n;
+    Py_ssize_t n = s->n, *out = s->out, *slots = s->slots, *marked = s->marked, *pool = s->pool;
+    long long offset = offset_of(level, k);
+    Py_ssize_t count = 0, marks = 0, unmarked = 0, at;
+    if (level == 3) {
+        /* rl-max greedy: right to left, the marked values rise, and each
+         * other slot takes the largest value below the next maximum */
+        Py_ssize_t limit = 0, next = 0;
+        for (Py_ssize_t i = 0; i < n; i++)
+            if (w[i] >= offset)
+                slots[count++] = i;
+        for (Py_ssize_t v = 1; v <= n; v++) {
+            if (wp[v - 1] == offset + 1)
+                marked[marks++] = v;
+            else if (wp[v - 1] == offset)
+                pool[unmarked++] = v;
+        }
+        for (Py_ssize_t x = count; x-- > 0;) {
+            Py_ssize_t i = slots[x];
+            if (w[i] != offset) {
+                if (next == marks)
+                    return stuck(why, "the two words must share one letter multiset");
+                limit = out[i] = marked[next++];
+                continue;
+            }
+            if ((at = bisect(pool, unmarked, limit, 0) - 1) < 0)
+                return stuck(why, "no unmarked value fits below the next maximum");
+            out[i] = pop(pool, &unmarked, at);
+        }
+    } else if (level % 2 == 0) {
+        /* lr-min greedy: left to right, the marked values fall, and each
+         * other slot takes the smallest value above the latest minimum */
+        Py_ssize_t minimum = 0;
+        for (Py_ssize_t i = 0; i < n; i++)
+            if (offset < w[i] && w[i] <= offset + 2)
+                slots[count++] = i;
+        for (Py_ssize_t v = 1; v <= n; v++) {
+            if (wp[v - 1] == offset + 1)
+                marked[marks++] = v;
+            else if (wp[v - 1] == offset + 2)
+                pool[unmarked++] = v;
+        }
+        for (Py_ssize_t x = 0; x < count; x++) {
+            Py_ssize_t i = slots[x];
+            if (w[i] != offset + 2) {
+                if (!marks)
+                    return stuck(why, "the two words must share one letter multiset");
+                minimum = out[i] = marked[--marks];
+                continue;
+            }
+            if ((at = bisect(pool, unmarked, minimum, 1)) >= unmarked)
+                return stuck(why, "no unmarked value stays above the running minimum");
+            out[i] = pop(pool, &unmarked, at);
+        }
+    } else {
+        /* right to left, the largest free value below the floor of the slots after it */
+        for (Py_ssize_t i = 0; i < n; i++)
+            if (w[i] >= offset)
+                slots[count++] = i;
+        if (level - 1 > count)  /* also keeps a huge level from building its floor */
+            return stuck(why, "too few entries to start the required pattern");
+        for (Py_ssize_t v = 1; v <= n; v++)
+            if (wp[v - 1] == offset)
+                pool[unmarked++] = v;
+        if (!floor_init(&s->f, (Py_ssize_t)level - 2))
+            return NO_MEMORY;
+        for (Py_ssize_t x = count; x-- > 0;) {
+            Py_ssize_t i = slots[x];
+            if (w[i] == offset) {
+                if ((at = bisect(pool, unmarked, s->f.floors[0], 0) - 1) < 0)
+                    return stuck(why, "no remaining value starts the required pattern here");
+                out[i] = pop(pool, &unmarked, at);
+            }
+            if (!floor_push(&s->f, out[i]))
+                return NO_MEMORY;
+        }
+    }
+    return FILLED;
+}
+
+/* The greedy fill of the code in s->w, n letters a word, none negative, for k in 3..MAX_K,
+ * into s->out, level by level from the lowest: FILLED, STUCK with *why the NotInImage message,
+ * or NO_MEMORY. present[d] flags level k + 1 - d (a letter 0 names level k + 1 for an even k).
+ * A decode's k is lowered to at most 2n + 5. The verify sweep hands the fill its own k, not
+ * lowered, but its codes come from encode_core, which reaches at most 2n + 2 levels below the
+ * top. So 2n + 6 flags hold every level of the calls permcodec.kernels makes; only a direct
+ * decode with a k it would have lowered names levels below them, and those come first, each
+ * found by a scan of w. */
 static int
 fill_core(Work *s, long long k, const char **why)
 {
-    const long long *w = s->w, *wp = w + s->n;
-    long long *levels = s->levels;
-    Py_ssize_t n = s->n, *out = s->out, *slots = s->slots, *marked = s->marked, *pool = s->pool;
-    Py_ssize_t distinct = 0;
+    const long long *w = s->w;
+    Py_ssize_t n = s->n, reach = k - 1 < 2 * n + 6 ? (Py_ssize_t)k - 1 : 2 * n + 6;
+    long long bottom = k + 2 - reach, level = 2;  /* the lowest flagged level */
+    int state, deep = 0;
+    memset(s->present, 0, reach);
     for (Py_ssize_t i = 0; i < n; i++) {
-        out[i] = 0;
-        levels[i] = level_of(w[i], k);
+        long long at = level_of(w[i], k);
+        s->out[i] = 0;
+        if (at < bottom)
+            deep = 1;
+        else
+            s->present[k + 1 - at] = 1;
     }
-    qsort(levels, n, sizeof(long long), compare_levels);
-    for (Py_ssize_t i = 0; i < n; i++)  /* a level without letters fills nothing */
-        if (!distinct || levels[i] != levels[distinct - 1])
-            levels[distinct++] = levels[i];
-    for (Py_ssize_t d = 0; d < distinct; d++) {
-        long long level = levels[d], offset = offset_of(level, k);
-        Py_ssize_t count = 0, marks = 0, unmarked = 0, at;
-        if (level == 3) {
-            /* rl-max greedy: right to left, the marked values rise, and each
-             * other slot takes the largest value below the next maximum */
-            Py_ssize_t limit = 0, next = 0;
-            for (Py_ssize_t i = 0; i < n; i++)
-                if (w[i] >= offset)
-                    slots[count++] = i;
-            for (Py_ssize_t v = 1; v <= n; v++) {
-                if (wp[v - 1] == offset + 1)
-                    marked[marks++] = v;
-                else if (wp[v - 1] == offset)
-                    pool[unmarked++] = v;
-            }
-            for (Py_ssize_t x = count; x-- > 0;) {
-                Py_ssize_t i = slots[x];
-                if (w[i] != offset) {
-                    if (next == marks)
-                        return stuck(why, "the two words must share one letter multiset");
-                    limit = out[i] = marked[next++];
-                    continue;
-                }
-                if ((at = bisect(pool, unmarked, limit, 0) - 1) < 0)
-                    return stuck(why, "no unmarked value fits below the next maximum");
-                out[i] = pop(pool, &unmarked, at);
-            }
-        } else if (level % 2 == 0) {
-            /* lr-min greedy: left to right, the marked values fall, and each
-             * other slot takes the smallest value above the latest minimum */
-            Py_ssize_t minimum = 0;
-            for (Py_ssize_t i = 0; i < n; i++)
-                if (offset < w[i] && w[i] <= offset + 2)
-                    slots[count++] = i;
-            for (Py_ssize_t v = 1; v <= n; v++) {
-                if (wp[v - 1] == offset + 1)
-                    marked[marks++] = v;
-                else if (wp[v - 1] == offset + 2)
-                    pool[unmarked++] = v;
-            }
-            for (Py_ssize_t x = 0; x < count; x++) {
-                Py_ssize_t i = slots[x];
-                if (w[i] != offset + 2) {
-                    if (!marks)
-                        return stuck(why, "the two words must share one letter multiset");
-                    minimum = out[i] = marked[--marks];
-                    continue;
-                }
-                if ((at = bisect(pool, unmarked, minimum, 1)) >= unmarked)
-                    return stuck(why, "no unmarked value stays above the running minimum");
-                out[i] = pop(pool, &unmarked, at);
-            }
-        } else {
-            /* right to left, the largest free value below the floor of the slots after it */
-            for (Py_ssize_t i = 0; i < n; i++)
-                if (w[i] >= offset)
-                    slots[count++] = i;
-            if (level - 1 > count)  /* also keeps a huge level from building its floor */
-                return stuck(why, "too few entries to start the required pattern");
-            for (Py_ssize_t v = 1; v <= n; v++)
-                if (wp[v - 1] == offset)
-                    pool[unmarked++] = v;
-            if (!floor_init(&s->f, (Py_ssize_t)level - 2))
-                return NO_MEMORY;
-            for (Py_ssize_t x = count; x-- > 0;) {
-                Py_ssize_t i = slots[x];
-                if (w[i] == offset) {
-                    if ((at = bisect(pool, unmarked, s->f.floors[0], 0) - 1) < 0)
-                        return stuck(why, "no remaining value starts the required pattern here");
-                    out[i] = pop(pool, &unmarked, at);
-                }
-                if (!floor_push(&s->f, out[i]))
-                    return NO_MEMORY;
-            }
+    while (deep) {
+        long long next = bottom;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            long long at = level_of(w[i], k);
+            next = level < at && at < next ? at : next;
         }
+        if (next == bottom)
+            break;
+        if ((state = fill_level(s, k, level = next, why)) != FILLED)
+            return state;
     }
+    for (Py_ssize_t d = reach; d-- > 0;)  /* a level without letters fills nothing */
+        if (s->present[d] && (state = fill_level(s, k, k + 1 - d, why)) != FILLED)
+            return state;
     return FILLED;
 }
 
@@ -972,7 +1086,7 @@ decode_core(Work *s, long long k, long long low, const char **why)
         return state;
     if ((floor = floor_over(s, s->out, low)) != 0)
         return floor < 0 ? NO_MEMORY : stuck(why, "greedy fill produced a pattern occurrence");
-    if (!encode_core(s, s->out, s->again, low))
+    if (!encode_core(s, s->out, s->again, low, low <= n))
         return NO_MEMORY;
     if (memcmp(s->again, s->w, 2 * n * sizeof(long long)))
         return stuck(why, "re-encoding does not reproduce the pair");
@@ -1007,7 +1121,7 @@ decode(PyObject *self, PyObject *args)
     PyObject *w_obj, *wp_obj, *w_seq = NULL, *wp_seq = NULL, *result = NULL;
     long long k, low;
     const char *why;
-    Work s = {0};
+    Work own = {0}, *s = NULL;
     if (!PyArg_ParseTuple(args, "OOLL:decode", &w_obj, &wp_obj, &k, &low))
         return NULL;
     if (low < 3 || low > k || k > MAX_K)
@@ -1022,15 +1136,15 @@ decode(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "the two words must have one length");
         goto done;
     }
-    if (!work_init(&s, n, 0)) {
+    if (!(s = work_take(&own, n))) {
         PyErr_NoMemory();
         goto done;
     }
-    if (!read_word(w_obj, w_seq, s.w, k) || !read_word(wp_obj, wp_seq, s.w + n, k))
+    if (!read_word(w_obj, w_seq, s->w, k) || !read_word(wp_obj, wp_seq, s->w + n, k))
         goto done;
-    switch (decode_core(&s, k, low, &why)) {
+    switch (decode_core(s, k, low, &why)) {
     case FILLED:
-        result = tuple_of(s.out, n);
+        result = tuple_of(s->out, n);
         break;
     case STUCK:
         raise_error("NotInImage", "%s", why);
@@ -1039,7 +1153,8 @@ decode(PyObject *self, PyObject *args)
         PyErr_NoMemory();
     }
 done:
-    work_free(&s);
+    if (s)
+        work_give(s);
     Py_XDECREF(w_seq);
     Py_XDECREF(wp_seq);
     return result;
@@ -1139,7 +1254,7 @@ check(Shard *s)
     long long *w = s->work.w, *wp = w + n;
     const char *why;
     s->total++;
-    if (!encode_core(&s->work, s->prefix, w, s->k)) {
+    if (!encode_core(&s->work, s->prefix, w, s->k, 0)) {
         s->failed = 1;
         return;
     }

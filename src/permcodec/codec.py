@@ -33,9 +33,10 @@ compiled in ``_ext.c`` when it is built, and otherwise its pure twin in
 per-level encode, the greedy fill and the staircase floor. The kernels
 check the input for any k >= 3; this module refuses a k below 3 and names
 the witness of a failed avoidance check.
-Entries and letters are ints (bool and other int subclasses count): the
-compiled kernels raise TypeError on any other, and the pure twins promise
-nothing for them.
+Entries and letters are ints: the compiled kernels take anything that
+``operator.index`` accepts (bool and other int subclasses, or an object with
+``__index__``) and raise TypeError on any other, such as a float; the pure
+twins promise nothing for those that are not ints.
 """
 
 from __future__ import annotations

@@ -18,17 +18,28 @@ exhaustively for k = 4 and 6.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from permcodec.perms import Perm
 
 
 def canonical_coloring(p: Perm) -> tuple[bool, ...]:
-    """Red/blue mask for p (True = red). Defined for every p; see module docs."""
+    """Red/blue mask for p (True = red). Defined for every p; see module docs.
+
+    Rule 1 asks whether v lies in a span (least earlier red x, red y > x).
+    Span lows never rise, so a new span (least red, v) contains every kept
+    span whose top is below v, which it replaces: the kept spans have
+    falling tops and falling lows, and v lies in some span exactly when the
+    newest one whose top is above v has its low below v. Finding it is a
+    bisection, so the pass is O(n log n).
+    """
     mask: list[bool] = []
-    spans: list[tuple[int, int]] = []  # (least earlier red, red) per red above it
+    lows: list[int] = []  # the kept spans, oldest first
+    tops: list[int] = []  # their tops, negated so that they rise
     least_red = min_blue = math.inf
     for v in p:
-        if v > min_blue or any(x < v < y for x, y in spans):
+        above = bisect_left(tops, -v)  # the kept spans whose tops are above v
+        if v > min_blue or (above and lows[above - 1] < v):
             mask.append(False)
             min_blue = min(min_blue, v)
             continue
@@ -36,5 +47,7 @@ def canonical_coloring(p: Perm) -> tuple[bool, ...]:
         if v < least_red:
             least_red = v
         else:
-            spans.append((least_red, v))
+            del lows[above:], tops[above:]
+            lows.append(least_red)
+            tops.append(-v)
     return tuple(mask)

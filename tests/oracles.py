@@ -129,6 +129,29 @@ def coloring_132(p):
     return tuple(mask)
 
 
+def span_scan_coloring(p):
+    """The red/blue mask (True = red) by a scan of every open span.
+
+    A red entry above the least earlier red opens the span (that least red,
+    it); an entry inside any open span, or above an earlier blue entry, is
+    blue. O(n) per entry: the identity keeps n - 1 spans open.
+    """
+    mask = []
+    spans = []
+    least_red = min_blue = float("inf")
+    for v in p:
+        if v > min_blue or any(x < v < y for x, y in spans):
+            mask.append(False)
+            min_blue = min(min_blue, v)
+            continue
+        mask.append(True)
+        if v < least_red:
+            least_red = v
+        else:
+            spans.append((least_red, v))
+    return tuple(mask)
+
+
 def encode_length4(p):
     """The code (w, wp) of a 1324-avoider in one pass over its coloring.
 
@@ -193,6 +216,23 @@ def random_staircase_avoider(rng, k, n):
     for v in range(1, n + 1):
         bound = next((e for e in range(len(p)) if ends_an_occurrence(p, head, e)), len(p))
         p.insert(rng.randint(0, bound), v)
+    return tuple(p)
+
+
+def layered(n, size):
+    """1..n in decreasing runs of ``size`` entries, each run above the one before it:
+    layered(6, 2) is 2,1,4,3,6,5."""
+    return tuple(v for top in range(0, n, size) for v in range(min(top + size, n), top, -1))
+
+
+def skew_sum_avoider(rng, k, n, block=20):
+    """A length-n avoider of the length-k staircase: random avoiders of at most ``block``
+    entries, each left of and above the next. The staircase ends in its maximum, so an
+    occurrence cannot leave the block that holds its last entry."""
+    p = []
+    while len(p) < n:
+        m = min(n - len(p), rng.randint(1, block))
+        p = [v + m for v in p] + list(random_staircase_avoider(rng, k, m))
     return tuple(p)
 
 

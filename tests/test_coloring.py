@@ -1,3 +1,6 @@
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -57,6 +60,24 @@ def test_coloring_rules_on_arbitrary_permutations(p):
         earlier_blue = [b for b in blue_values if b in p[:i]]
         if earlier_blue and v > min(earlier_blue):
             assert not mask[i]
+
+
+def test_coloring_follows_the_rules_on_every_short_permutation():
+    for n in range(9):
+        for p in permutations(range(1, n + 1)):
+            assert canonical_coloring(p) == oracles.coloring_132(p), p
+
+
+def test_coloring_matches_the_span_scan_on_long_permutations():
+    # the identity keeps one span on the stack and n - 1 in the scan
+    rng = random.Random("long colorings")
+    for n in (1, 2, 50, 400, 2000):
+        shapes = [tuple(range(1, n + 1)), tuple(range(n, 0, -1)), oracles.layered(n, 2),
+                  oracles.layered(n, 3), oracles.layered(n, 7),
+                  tuple(rng.sample(range(1, n + 1), n)),
+                  oracles.random_staircase_avoider(rng, 4, n)]
+        for p in shapes:
+            assert canonical_coloring(p) == oracles.span_scan_coloring(p), p[:20]
 
 
 def start_mask(p, k):

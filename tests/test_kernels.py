@@ -223,6 +223,22 @@ def test_codes_agree_with_the_pure_passes(impl):
                 assert impl.decode(*code, k, k) == p
 
 
+def test_compiled_codes_agree_with_the_pure_passes_on_long_inputs(ext):
+    # the C coloring's span stack against the pure one, on shapes that keep many spans
+    rng = random.Random("long codes")
+    for k in (4, 6, 8):
+        for n in (200, 3000):
+            shapes = [tuple(range(1, n + 1)), oracles.layered(n, 2), oracles.layered(n, 3),
+                      oracles.layered(n, 7)]  # the identity avoids the staircase, the others not
+            avoiders = [oracles.skew_sum_avoider(rng, k, n)]
+            if k == 4:
+                avoiders.append(oracles.random_staircase_avoider(rng, k, n))
+            for p in shapes + avoiders:
+                assert ext.encode(p, k) == _pure.encode(p, k), (k, n, p[:20])
+            for p in avoiders:
+                assert ext.encode(p, k) == _pure.encode_levels(p, k), (k, n, p[:20])
+
+
 @functools.cache
 def same_multiset_pairs(k, nmax):
     """Every pair whose words share one letter multiset, with the pure decode's outcome."""
@@ -291,6 +307,23 @@ def test_decode_outcomes_agree_past_the_alphabet_and_the_lowered_base_level(ext,
     assert seen[MalformedInput] > 1000 and seen[None] > 50
     assert seen["a letter names a level that no code of this length reaches"] > 1000
     assert seen["the two words must share one letter multiset"] > 100
+
+
+def test_a_direct_decode_with_an_unlowered_k_agrees_with_the_pure_one(ext):
+    # kernels lowers k first, so only a direct call names levels far below the top, or, with
+    # a low of the other parity, letter 0 at an even low: the fill's level flags miss those
+    rng = random.Random("unlowered decodes")
+    for n in range(1, 6):
+        for k in [*range(2 * n + 6, 2 * n + 12), 200, 201, 10**6, 10**6 + 1]:
+            top = WordFamily.for_pattern_length(k).alphabet[-1]
+            letters = [*range(k % 2 == 0, 3 * n + 9), *range(top - 3 * n - 9, top + 1)]
+            for _ in range(100):
+                w = [rng.choice(letters) for _ in range(n)]
+                wp = (rng.sample(w, n) if rng.random() < 0.8
+                      else [rng.choice(letters) for _ in range(n)])
+                low = k if rng.random() < 0.7 else rng.randint(3, min(k, 2 * n + 12))
+                want = outcome(_pure.decode, w, wp, k, low)
+                assert outcome(ext.decode, w, wp, k, low) == want, (w, wp, k, low)
 
 
 def test_encode_outcomes_agree_with_the_pure_encode(ext):
@@ -405,6 +438,50 @@ def test_compiled_passes_refuse_what_would_leave_their_bounds(ext, monkeypatch):
             NotInImage, "too few entries to start the required pattern")
 
 
+class Index:
+    """An entry or letter that is no int, but that operator.index accepts."""
+
+    def __init__(self, value, call=None):
+        self.value, self.call = value, call
+
+    def __index__(self):
+        if self.call:
+            self.call()
+        return self.value
+
+
+def test_compiled_calls_take_what_operator_index_accepts(ext):
+    p = (3, 6, 1, 2, 7, 4, 5)
+    w, wp = ext.encode(p, 4)
+    assert ext.encode([Index(v) for v in p], 4) == (w, wp)
+    assert ext.decode([Index(x) for x in w], [Index(x) for x in wp], 4, 4) == p
+    refused = outcome(ext.decode, w, wp[::-1], 4, 4)
+    assert refused[0] is NotInImage
+    indexed = [Index(x) for x in w], [Index(x) for x in wp[::-1]]
+    assert outcome(ext.decode, *indexed, 4, 4) == refused
+    with pytest.raises(TypeError):
+        ext.encode((3.0, 6, 1, 2, 7, 4, 5), 4)
+    with pytest.raises(TypeError):
+        ext.decode(w, wp[:-1] + (2.0,), 4, 4)
+
+
+def test_a_call_from_an_entrys_index_leaves_the_outer_call_alone(ext):
+    # both calls run under the GIL; the inner one must not take the outer one's scratch
+    rng = random.Random("re-entered")
+    outer = oracles.random_staircase_avoider(rng, 5, 90)
+    inner = oracles.random_staircase_avoider(rng, 4, 60)
+    outer_code, inner_code = ext.encode(outer, 5), ext.encode(inner, 4)
+    seen = []
+
+    def call():
+        seen.append((ext.encode(inner, 4), ext.decode(*inner_code, 4, 4)))
+
+    assert ext.encode([Index(v, call) for v in outer], 5) == outer_code
+    w, wp = ([Index(x, call) for x in word] for word in outer_code)
+    assert ext.decode(w, wp, 5, 5) == outer
+    assert seen == [(inner_code, inner)] * 3 * len(outer)
+
+
 # ---------------------------------------------------------------------------
 # the verify sweep
 
@@ -459,6 +536,17 @@ def test_compiled_sweep_checks_every_avoider_at_k6_n9(ext, monkeypatch):
     report = verify_injection(6, 9)
     assert report.passed
     assert report.total == kernels.count_avoiders_dfs(staircase_pattern(6), 9)[9] == 344839
+
+
+def test_a_sweep_with_a_huge_k_reports_what_the_pure_sweep_does(ext, monkeypatch):
+    # the sweep hands its fill the caller's k, not lowered: its codes reach no deeper than
+    # 2n + 2 levels below the top, inside the fill's 2n + 6 level flags
+    monkeypatch.setattr(kernels, "_impl", ext)
+    for n in range(7):
+        for k in [*range(2 * n + 4, 2 * n + 9), 10**6, 2**62]:
+            for q in (tuple(range(1, 8)), staircase_pattern(4)):  # all; the 1324-avoiders
+                want = _pure.verify_shard(q, k, n, 0, 3)
+                assert kernels.verify_shard(q, k, n, 0, 3) == want, (q, k, n)
 
 
 def test_compiled_sweep_refuses_bad_arguments(ext):
@@ -545,6 +633,26 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
     after_1000, after_all = map(int, run_child(code, ext.__file__, ROOT / "tests"))
     assert after_all - after_1000 < 3 * 1024  # KiB
+
+
+@linux_only
+def test_the_codec_keeps_at_most_its_stated_scratch(ext):
+    # encode and decode share one scratch of at most 256 KiB (SCRATCH_BYTES in _ext.c); a
+    # call that would grow it past that takes and frees its own
+    code = _LOAD_EXT + """\
+import tracemalloc
+tracemalloc.start()
+start = tracemalloc.get_traced_memory()[0]
+for n in (1000, 1000, 100_000, 1000):
+    p = tuple(range(n, 0, -1))  # the identity's floor would take quadratic time
+    code = ext.encode(p, 4)
+    assert ext.decode(*code, 4, 4) == p
+    del code, p
+    print(tracemalloc.get_traced_memory()[0] - start)
+"""
+    first, *rest = map(int, run_child(code, ext.__file__))
+    assert 100_000 < first <= 256 * 1024  # the scratch for 1,000 entries stays
+    assert all(abs(held - first) < 4096 for held in rest), (first, rest)
 
 
 @linux_only
