@@ -1,32 +1,34 @@
 /*
  * Compiled kernels for permcodec.kernels: the avoider count, the codec's
  * encode and decode, each one call that checks its input and runs the level
- * passes, and the verify sweep, which walks the avoiders and sends each
- * through those passes. The codec's passes keep their constant work small:
- * the fill walks flags for the levels its letters name, the coloring
- * bisects a stack of spans, an odd k's first odd level reads the mask that
- * the avoidance floor leaves, and encode and decode keep one scratch between
- * calls. setup.py passes SOURCE_CRC32, the CRC-32 of this file, which the
- * module exposes so that permcodec.kernels can tell a stale build from a
- * fresh one.
+ * passes, and the verify sweep, which walks the avoiders on the count
+ * engine's states and sends each through those passes. The codec's passes
+ * keep their constant work small: the fill walks flags for the levels its
+ * letters name, the coloring bisects a stack of spans, an odd k's first odd
+ * level reads the mask that the avoidance floor leaves, and encode and
+ * decode keep one scratch between calls. setup.py passes SOURCE_CRC32, the
+ * CRC-32 of this file, which the module exposes so that permcodec.kernels
+ * can tell a stale build from a fresh one.
  *
  * count_avoiders_dfs(q, n) returns the avoider counts of q for every length
- * 0..n, with the memoized engine of permcodec._pure.count_avoiders_dfs (see
- * that function for the algorithm): a prefix is reduced to the gaps, among
- * the unused values, of the partial occurrences of q that it holds, and the
- * count of each reduced state is computed once. The memo key does not
- * depend on n, and counting n passes through the empty state at every
- * shorter length, so one table answers all n + 1 lengths at the cost of n
- * alone. A state is packed one byte per gap: for j = 1..k-1 its q[:j]
- * tuples, j bytes each, in canonical order, then the byte END. Counts are
- * kept in an open-addressing table keyed by the number of unused values and
- * the packed state. The engine runs without the GIL; its buffers grow as
- * needed.
+ * 0..n, with the memoized engine of permcodec._pure._engine (see that
+ * function for the algorithm): a prefix is reduced to the gaps, among the
+ * unused values, of the partial occurrences of q that it holds, and the
+ * count of each reduced state is computed once. step is the transition, the
+ * state after the i-th smallest unused value follows, and count sums the
+ * counts of the states step gives; the verify sweep walks the same states.
+ * The memo key does not depend on n, and counting n passes through the
+ * empty state at every shorter length, so one table answers all n + 1
+ * lengths at the cost of n alone. A state is packed one byte per gap: for
+ * j = 1..k-1 its q[:j] tuples, j bytes each, in canonical order, then the
+ * byte END. Counts are kept in an open-addressing table keyed by the number
+ * of unused values and the packed state. The engine runs without the GIL;
+ * its buffers grow as needed.
  *
  * The caller, permcodec.kernels, checks that q is a permutation of 1..k and
  * answers len(q) < 2, which the engine refuses, and n < len(q) itself.
- * Counts are 64-bit integers, so n past MAX_N is refused: 20! < 2**63. Gaps
- * are at most n, so a byte holds each.
+ * Counts are 64-bit integers, so the count and the sweep refuse n past
+ * MAX_N: 20! < 2**63. Gaps are at most n, so a byte holds each.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -97,7 +99,7 @@ push(Engine *e, Bytes *b, const unsigned char *src, size_t len)
 
 /* Window providers and slot kinds; see _bounds and _slot_kinds in _pure. */
 static void
-describe(const long long *q, int k, int *lo, int *hi, signed char *kind)
+describe(const Py_ssize_t *q, int k, int *lo, int *hi, signed char *kind)
 {
     for (int a = 0; a < k; a++) {
         lo[a] = hi[a] = -1;
@@ -112,7 +114,7 @@ describe(const long long *q, int k, int *lo, int *hi, signed char *kind)
         signed char *row = kind + (size_t)j * k;
         for (int s = 0; s < j; s++)
             row[s] = IGNORED;
-        long long later_lo = q[j], later_hi = q[j];
+        Py_ssize_t later_lo = q[j], later_hi = q[j];
         for (int t = j; t < k; t++) {
             int below = -1, above = -1;
             for (int s = 0; s < j; s++) {
@@ -274,65 +276,81 @@ remember(Engine *e, uint64_t h, int m, const unsigned char *s, size_t len, uint6
     e->used++;
 }
 
-/* Avoider completions of the state after d entries. */
-static uint64_t
-count(Engine *e, int d)
+/* Set groups[d*k + j] to the offset of the q[:j] tuples in the state after d entries. */
+static void
+group(Engine *e, int d)
 {
-    int k = e->k, m = e->n - d;
-    if (m == 0)
-        return 1;
     const unsigned char *s = e->states[d].data;
-    size_t len = e->states[d].len;
-    uint64_t h = hash_key(m, s, len);
-    Entry *hit = find(e, h, m, s, len);
-    if (hit->len)
-        return hit->count;
-    size_t *groups = e->groups + (size_t)d * k;
-    size_t off = 0;
-    for (int j = 1; j < k; j++) {
+    size_t *groups = e->groups + (size_t)d * e->k, off = 0;
+    for (int j = 1; j < e->k; j++) {
         groups[j] = off;
         while (s[off] != END)
             off += j;
         off++;
     }
-    uint64_t total = 0;
+}
+
+/* The transition: place u_i, the i-th smallest of the m = n - d values left after d entries,
+ * and write the state that follows to states[d + 1]; the groups of states[d] are set. 0 where
+ * u_i completes q, and on a failed allocation, which sets e->failed. */
+static int
+step(Engine *e, int d, int i)
+{
+    int k = e->k, m = e->n - d;
+    const unsigned char *s = e->states[d].data, *t;
+    const size_t *groups = e->groups + (size_t)d * k;
+    for (t = s + groups[k - 1]; *t != END; t += k - 1)
+        if (admits(e, t, k - 1, i, m))
+            return 0;  /* u_i would complete q */
+    if (m == 1)
+        return 1;  /* the last value: no one reads the empty state it leaves */
     Bytes *next = &e->states[d + 1];
-    for (int i = 1; i <= m; i++) {
-        const unsigned char *t = s + groups[k - 1];
-        for (; *t != END; t += k - 1)
-            if (admits(e, t, k - 1, i, m))
-                break;
-        if (*t != END)
-            continue;  /* u_i would complete q */
-        next->len = 0;
-        for (int j = 1; j < k; j++) {
-            e->cand.len = 0;
-            if (m - 1 >= k - j) {
-                for (t = s + groups[j]; *t != END; t += j) {
-                    for (int x = 0; x < j; x++)
-                        e->tuple[x] = t[x] - (t[x] >= i);  /* gaps i-1 and i merge */
+    next->len = 0;
+    for (int j = 1; j < k; j++) {
+        e->cand.len = 0;
+        if (m - 1 >= k - j) {
+            for (t = s + groups[j]; *t != END; t += j) {
+                for (int x = 0; x < j; x++)
+                    e->tuple[x] = t[x] - (t[x] >= i);  /* gaps i-1 and i merge */
+                offer(e, j, m - 1);
+            }
+            const signed char *kind = e->kind + (size_t)j * k;
+            if (j == 1) {  /* u_i starts a q[:1] tuple */
+                e->tuple[0] = (unsigned char)(i - 1);
+                offer(e, j, m - 1);
+            } else {  /* q[:j-1] tuples that admit u_i grow by one slot */
+                for (t = s + groups[j - 1]; *t != END; t += j - 1) {
+                    if (!admits(e, t, j - 1, i, m))
+                        continue;
+                    for (int x = 0; x < j - 1; x++)
+                        e->tuple[x] = kind[x] == IGNORED ? 0 : t[x] - (t[x] >= i);
+                    e->tuple[j - 1] = kind[j - 1] == IGNORED ? 0 : (unsigned char)(i - 1);
                     offer(e, j, m - 1);
-                }
-                const signed char *kind = e->kind + (size_t)j * k;
-                if (j == 1) {  /* u_i starts a q[:1] tuple */
-                    e->tuple[0] = (unsigned char)(i - 1);
-                    offer(e, j, m - 1);
-                } else {  /* q[:j-1] tuples that admit u_i grow by one slot */
-                    for (t = s + groups[j - 1]; *t != END; t += j - 1) {
-                        if (!admits(e, t, j - 1, i, m))
-                            continue;
-                        for (int x = 0; x < j - 1; x++)
-                            e->tuple[x] = kind[x] == IGNORED ? 0 : t[x] - (t[x] >= i);
-                        e->tuple[j - 1] = kind[j - 1] == IGNORED ? 0 : (unsigned char)(i - 1);
-                        offer(e, j, m - 1);
-                    }
                 }
             }
-            pareto(e, j, next);
         }
-        if (e->failed)
-            return 0;
-        total += count(e, d + 1);
+        pareto(e, j, next);
+    }
+    return !e->failed;
+}
+
+/* Avoider completions of the state after d entries; 0 on a failed allocation. */
+static uint64_t
+count(Engine *e, int d)
+{
+    int m = e->n - d;
+    if (m == 0)
+        return 1;
+    const unsigned char *s = e->states[d].data;
+    size_t len = e->states[d].len;
+    uint64_t h = hash_key(m, s, len), total = 0;
+    Entry *hit = find(e, h, m, s, len);
+    if (hit->len)
+        return hit->count;
+    group(e, d);
+    for (int i = 1; i <= m; i++) {
+        if (step(e, d, i))
+            total += count(e, d + 1);
         if (e->failed)
             return 0;
     }
@@ -340,26 +358,29 @@ count(Engine *e, int d)
     return total;
 }
 
-/* counts[m], for m = 0..n: the completions of the empty state with m values left. */
-static void
-run(Engine *e, uint64_t *counts)
+/* Set e up for the pattern q of k >= 2 entries, walked to length n <= MAX_N, with the empty
+ * state at every depth; 0 on a failed allocation, when release still frees e. */
+static int
+engine_init(Engine *e, const Py_ssize_t *q, int k, int n)
 {
-    int k = e->k, n = e->n;
-    e->cap = 1024;
+    *e = (Engine){.k = k, .n = n, .cap = 1024};
+    e->lo = malloc(2 * (size_t)k * sizeof(int));
+    e->kind = malloc((size_t)k * k);
     e->table = calloc(e->cap, sizeof(Entry));
     e->states = calloc(n + 1, sizeof(Bytes));
     e->groups = malloc((size_t)(n + 1) * k * sizeof(size_t));
     e->tuple = malloc(k);
-    if (!e->table || !e->states || !e->groups || !e->tuple) {
+    if (!e->lo || !e->kind || !e->table || !e->states || !e->groups || !e->tuple) {
         e->failed = 1;
-        return;
+        return 0;
     }
+    e->hi = e->lo + k;
+    describe(q, k, e->lo, e->hi, e->kind);
     unsigned char end = END;
-    for (int d = n; d >= 0 && !e->failed; d--) {  /* count(e, d) writes only states past d */
+    for (int d = 0; d <= n; d++)  /* count(e, d) writes only states past d */
         for (int j = 1; j < k; j++)
             push(e, &e->states[d], &end, 1);
-        counts[n - d] = count(e, d);
-    }
+    return !e->failed;
 }
 
 static void
@@ -374,6 +395,8 @@ release(Engine *e)
     free(e->tuple);
     free(e->table);
     free(e->arena.data);
+    free(e->lo);
+    free(e->kind);
 }
 
 static PyObject *
@@ -395,24 +418,22 @@ count_avoiders_dfs(PyObject *self, PyObject *args, PyObject *kwargs)
         Py_DECREF(seq);
         return PyErr_Format(PyExc_ValueError, "the compiled count takes len(q) >= 2");
     }
-    Engine e = {.k = (int)k, .n = n};
-    long long *q = PyMem_Malloc(k * sizeof(long long));
-    e.lo = PyMem_Malloc(2 * k * sizeof(int));
-    e.kind = PyMem_Malloc(k * k);
-    if (!q || !e.lo || !e.kind) {
+    Engine e;
+    Py_ssize_t *q = PyMem_Malloc(k * sizeof(Py_ssize_t));
+    if (!q) {
         PyErr_NoMemory();
         goto done;
     }
-    e.hi = e.lo + k;
     for (Py_ssize_t i = 0; i < k; i++) {
-        q[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, i));
+        q[i] = PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(seq, i));
         if (q[i] == -1 && PyErr_Occurred())
             goto done;
     }
-    describe(q, e.k, e.lo, e.hi, e.kind);
-    uint64_t counts[MAX_N + 1];
+    uint64_t counts[MAX_N + 1];  /* counts[m]: the completions of the empty state with m left */
     Py_BEGIN_ALLOW_THREADS
-    run(&e, counts);
+    engine_init(&e, q, (int)k, n);
+    for (int d = n; d >= 0 && !e.failed; d--)
+        counts[n - d] = count(&e, d);
     release(&e);
     Py_END_ALLOW_THREADS
     if (e.failed) {
@@ -429,8 +450,6 @@ count_avoiders_dfs(PyObject *self, PyObject *args, PyObject *kwargs)
     }
 done:
     PyMem_Free(q);
-    PyMem_Free(e.lo);
-    PyMem_Free(e.kind);
     Py_DECREF(seq);
     return result;
 }
@@ -1162,12 +1181,13 @@ done:
 
 /* ---------------------------------------------------------------------------
  * verify_shard: the sweep of permcodec._pure.verify_shard. It walks the
- * avoiders of q as _pure.avoiders does (prefix DFS in lexicographic order,
- * one search per new entry for an occurrence ending at it), kept on explicit
- * stacks instead of recursion, and sends each avoider through the two cores,
- * the round-trip compare, the word check of permcodec.words.validate_word on
- * both words and, for an even k, the first-letter check. It runs without the
- * GIL and keeps its example permutations in C buffers until it has it back.
+ * avoiders of q as _pure.avoiders does, on the count engine's states: child
+ * i of a state places the i-th smallest unused value, so the children in
+ * turn give lexicographic order, and a child whose count is 0 is never
+ * entered. It sends each avoider through the two cores, the round-trip
+ * compare, the word check of permcodec.words.validate_word on both words
+ * and, for an even k, the first-letter check. It runs without the GIL and
+ * keeps its example permutations in C buffers until it has it back.
  */
 
 enum { ROUND_TRIP, IMAGE, FIRST_LETTER, DEFECTS };
@@ -1178,59 +1198,15 @@ typedef struct {
 } Found;
 
 typedef struct {
-    Py_ssize_t kq, n, first, cap;
+    Py_ssize_t n, first, cap;
     long long k, bottom, top;  /* the codec's k and its alphabet bottom..top */
-    int check_first, failed;
-    Py_ssize_t *q, *lo, *hi;   /* the walked pattern and its window providers */
-    Py_ssize_t *chosen, *at;   /* the search: one value and the next position per slot */
-    Py_ssize_t *prefix, *next; /* the walk: the avoider so far (work.p) and the next value per depth */
-    char *used;
+    int check_first;
+    Py_ssize_t *prefix;        /* the avoider so far (work.p) */
+    Engine e;                  /* the walked pattern's count engine; e.failed flags any failure */
     Work work;
     unsigned long long total, counts[DEFECTS];
     Found found[DEFECTS];
 } Shard;
-
-/* Window providers for the walk's slot order kq-1, 0, 1, ..., kq-2; see _pure._bounds. */
-static void
-walk_bounds(Shard *s)
-{
-    Py_ssize_t kq = s->kq, *q = s->q, *lo = s->lo, *hi = s->hi;
-    for (Py_ssize_t a = 0; a < kq; a++) {
-        lo[a] = hi[a] = -1;
-        for (Py_ssize_t b = -1; a < kq - 1 && b < a; b++) {
-            Py_ssize_t seen = b < 0 ? kq - 1 : b;  /* slot kq-1 is assigned first */
-            if (q[seen] < q[a] && (lo[a] < 0 || q[seen] > q[lo[a]]))
-                lo[a] = seen;
-            else if (q[seen] > q[a] && (hi[a] < 0 || q[seen] < q[hi[a]]))
-                hi[a] = seen;
-        }
-    }
-}
-
-/* Whether slots 0..last fit increasing positions of prefix[0..stop) within their
- * windows, slot kq-1 being chosen already: _pure._search on a stack. */
-static int
-search(Shard *s, Py_ssize_t last, Py_ssize_t stop)
-{
-    Py_ssize_t a = 0, *at = s->at, *chosen = s->chosen;
-    at[0] = 0;
-    while (a >= 0) {
-        Py_ssize_t i = at[a];
-        if (i >= stop - (last - a)) {  /* slot a is out of positions: back to slot a - 1 */
-            a--;
-            continue;
-        }
-        at[a] = i + 1;
-        Py_ssize_t v = s->prefix[i], la = s->lo[a], ha = s->hi[a];
-        if ((la >= 0 && chosen[la] >= v) || (ha >= 0 && chosen[ha] <= v))
-            continue;
-        chosen[a] = v;
-        if (a == last)
-            return 1;
-        at[++a] = i + 1;
-    }
-    return 0;
-}
 
 /* permcodec.words.validate_word for the family of k. */
 static int
@@ -1255,12 +1231,12 @@ check(Shard *s)
     const char *why;
     s->total++;
     if (!encode_core(&s->work, s->prefix, w, s->k, 0)) {
-        s->failed = 1;
+        s->e.failed = 1;
         return;
     }
     int filled = fill_core(&s->work, s->k, &why);
     if (filled == NO_MEMORY) {
-        s->failed = 1;
+        s->e.failed = 1;
         return;
     }
     int bad[DEFECTS] = {
@@ -1279,7 +1255,7 @@ check(Shard *s)
             Py_ssize_t room = f->room ? 2 * f->room : 4;
             Py_ssize_t *data = PyMem_RawRealloc(f->data, (room * n + 1) * sizeof(Py_ssize_t));
             if (!data) {
-                s->failed = 1;
+                s->e.failed = 1;
                 return;
             }
             f->data = data;
@@ -1289,32 +1265,25 @@ check(Shard *s)
     }
 }
 
-/* Check every length-n avoider of q, kq >= 2 and n >= 1, in lexicographic order. */
+/* Check every avoider that extends the prefix of d entries, whose state is e.states[d]; used
+ * flags the values in the prefix. */
 static void
-walk(Shard *s)
+walk(Shard *s, int d, unsigned long used)
 {
-    Py_ssize_t n = s->n, kq = s->kq, d = 0;
-    s->next[0] = s->first ? s->first : 1;
-    while (d >= 0 && !s->failed) {
-        Py_ssize_t v = s->next[d], high = d == 0 && s->first ? s->first : n;
-        if (v > high) {  /* depth d is done: free the entry before it */
-            if (--d >= 0)
-                s->used[s->prefix[d]] = 0;
+    Engine *e = &s->e;
+    if (d == e->n) {
+        check(s);
+        return;
+    }
+    group(e, d);
+    for (int v = 1, i = 0; v <= e->n && !e->failed; v++) {
+        if (used >> v & 1)
             continue;
-        }
-        s->next[d] = v + 1;
-        if (s->used[v])
+        i++;  /* v is the i-th smallest unused value */
+        if ((d == 0 && s->first && v != s->first) || !step(e, d, i) || !count(e, d + 1))
             continue;
         s->prefix[d] = v;
-        s->chosen[kq - 1] = v;
-        if (kq <= d + 1 && search(s, kq - 2, d))
-            continue;  /* q occurs ending at v */
-        if (d + 1 == n) {
-            check(s);
-            continue;
-        }
-        s->used[v] = 1;
-        s->next[++d] = 1;
+        walk(s, d + 1, used | 1UL << v);
     }
 }
 
@@ -1347,23 +1316,22 @@ verify_shard(PyObject *self, PyObject *args)
                             "the compiled sweep takes 0 <= first <= n and cap >= 0");
     if (!(seq = PySequence_Fast(q_obj, "q must be a sequence")))
         return NULL;
-    Py_ssize_t kq = s.kq = PySequence_Fast_GET_SIZE(seq), n = s.n;
-    s.q = PyMem_RawCalloc(5 * kq + n + 1, sizeof(Py_ssize_t));
-    s.used = PyMem_RawCalloc(n + 1, 1);
-    if (!s.q || !s.used || !work_init(&s.work, n, 1)) {
+    Py_ssize_t kq = PySequence_Fast_GET_SIZE(seq), n = s.n;
+    if (kq >= 2 && n > MAX_N) {  /* the engine keeps gaps in bytes and counts in 64 bits */
+        Py_DECREF(seq);
+        return PyErr_Format(PyExc_OverflowError,
+                            "the compiled sweep takes n in 0..%d, got n=%zd", MAX_N, n);
+    }
+    Py_ssize_t *q = PyMem_RawCalloc(2 * kq + 1, sizeof(Py_ssize_t)), *seen = q + kq;
+    if (!q || !work_init(&s.work, n, 1)) {
         PyErr_NoMemory();
         goto done;
     }
-    s.lo = s.q + kq;
-    s.hi = s.lo + kq;
-    s.chosen = s.hi + kq;
-    s.at = s.chosen + kq;
-    s.next = s.at + kq;
     s.prefix = s.work.p;
-    if (!read_entries(seq, s.q, kq))
+    if (!read_entries(seq, q, kq))
         goto done;
-    for (Py_ssize_t a = 0; a < kq; a++) {  /* chosen tallies q's entries until the walk */
-        if (s.chosen[s.q[a] - 1]++) {
+    for (Py_ssize_t a = 0; a < kq; a++) {
+        if (seen[q[a] - 1]++) {
             PyErr_SetString(PyExc_ValueError, "q must be a permutation of 1..len(q)");
             goto done;
         }
@@ -1373,16 +1341,12 @@ verify_shard(PyObject *self, PyObject *args)
     s.top = s.k % 2 ? 3 * m - 5 : 3 * m - 2;
     s.check_first = s.k % 2 == 0 && n >= 1;
     Py_BEGIN_ALLOW_THREADS
-    if (kq == 0 || (kq == 1 && n > 0))
-        ;  /* () occurs in every permutation, (1) in every nonempty one */
-    else if (n == 0)
+    if (kq == 1 && n == 0)  /* () occurs in every permutation, (1) in every nonempty one */
         check(&s);
-    else {
-        walk_bounds(&s);
-        walk(&s);
-    }
+    else if (kq >= 2 && engine_init(&s.e, q, (int)kq, (int)n))
+        walk(&s, 0, 0);
     Py_END_ALLOW_THREADS
-    if (s.failed) {
+    if (s.e.failed) {
         PyErr_NoMemory();
         goto done;
     }
@@ -1398,8 +1362,8 @@ done:
         PyMem_RawFree(s.found[x].data);
     }
     work_free(&s.work);
-    PyMem_RawFree(s.q);
-    PyMem_RawFree(s.used);
+    release(&s.e);
+    PyMem_RawFree(q);
     Py_DECREF(seq);
     return result;
 }

@@ -1,28 +1,31 @@
-"""Pure-Python kernels: the pattern searches, the codec and the verify sweep.
+"""Pure-Python kernels: the occurrence search, the count engine, the codec and the verify sweep.
 
 Reference implementation of the inner loops. ``permcodec._ext``
-(``_ext.c``) compiles, with the same algorithms, ``count_avoiders_dfs``, the
-memoized count engine; the codec's ``encode`` and ``decode``, each one call
-that checks its input and runs the level passes ``staircase_floor``,
-``encode_levels`` and ``decode_fill``; and ``verify_shard``, the sweep
-that walks one shard's avoiders as ``avoiders`` does and encodes, fills and
-checks each. ``first_occurrence`` and ``avoiders``, the walk that yields
-every avoider, exist only here and serve both backends. ``permcodec.kernels``
-answers a count with ``len(q) < 2`` or ``n < len(q)`` before either engine
-starts. Haystacks may be any sequences of distinct integers; patterns are
-permutations of 1..k. ``first_occurrence`` returns 1-based indices, as every
-witness in the package is; inside the searches positions are 0-based.
+(``_ext.c``) compiles, with the same algorithms, the memoized count engine
+of ``_engine`` behind ``count_avoiders_dfs``; the codec's ``encode`` and
+``decode``, each one call that checks its input and runs the level passes
+``staircase_floor``, ``encode_levels`` and ``decode_fill``; and
+``verify_shard``, the sweep that walks one shard's avoiders as ``avoiders``
+does and encodes, fills and checks each. ``first_occurrence`` and
+``avoiders``, the walk that yields every avoider, exist only here and serve
+both backends. ``permcodec.kernels`` answers a count with ``len(q) < 2`` or
+``n < len(q)`` before either engine starts. Haystacks may be any sequences
+of distinct integers; patterns are permutations of 1..k.
+``first_occurrence`` returns 1-based indices, as every witness in the
+package is; inside the search positions are 0-based.
 
-The searches assign pattern slots one at a time and prune by value windows:
+The search assigns pattern slots one at a time and prunes by value windows:
 once some slots are fixed, the value for the next slot must lie strictly
-between the values of the tightest smaller and larger pattern entries already
-assigned. ``_bounds`` precomputes, per slot, which earlier assignment provides
-each side of the window. The count engine uses the same windows, on gaps
-between unused values instead of on values.
+between the values of the tightest smaller and larger pattern entries
+already assigned. ``_bounds`` precomputes, per slot, which earlier
+assignment provides each side of the window. The count engine uses the same
+windows, on gaps between unused values instead of on values, and the walk
+of the avoiders runs on the engine's states, so it needs no search.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from bisect import bisect_left, bisect_right
 from typing import Iterator, Sequence
@@ -106,50 +109,6 @@ def first_occurrence(p: Sequence[int], q: Sequence[int]):
     return None
 
 
-def avoiders(q: Sequence[int], n: int, first: int = 0) -> Iterator[tuple[int, ...]]:
-    """Yield the permutations of 1..n avoiding q in lexicographic order.
-
-    ``first`` fixes the first entry (0: any); it is not checked. Prefix-extension
-    DFS: a prefix is extended only while it stays q-free, so each extension
-    needs one search, for an occurrence ending at the new entry, whose windows
-    are built once per walk.
-
-    >>> list(avoiders((2, 1, 3), 3))
-    [(1, 2, 3), (1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
-    """
-    k = len(q)
-    if k == 0:
-        return  # the empty pattern occurs in every permutation
-    if n == 0:
-        yield ()
-        return
-    if k == 1:
-        return  # (1) occurs in every nonempty permutation
-    lo, hi = _bounds(q, [k - 1, *range(k - 1)])
-    chosen = [0] * k
-    pos = [0] * k
-    prefix: list[int] = []
-    used = [False] * (n + 1)
-
-    def walk(d: int) -> Iterator[tuple[int, ...]]:
-        values = (first,) if (d == 0 and first) else range(1, n + 1)
-        for v in values:
-            if used[v]:
-                continue
-            prefix.append(v)
-            chosen[k - 1] = v
-            if k > d + 1 or not _search(prefix, lo, hi, chosen, pos, 0, k - 2, 0, d):
-                if d + 1 == n:
-                    yield tuple(prefix)
-                else:
-                    used[v] = True
-                    yield from walk(d + 1)
-                    used[v] = False
-            prefix.pop()
-
-    yield from walk(0)
-
-
 def _slot_kinds(q: Sequence[int]) -> list[tuple[int | None, ...]]:
     """kinds[j][s]: how slot s of a q[:j] occurrence meets the slots j..k-1.
 
@@ -191,8 +150,8 @@ def _pareto(tuples: list[tuple[int, ...]], signs: list[int], mixed: list[int]) -
     return tuple(out)
 
 
-def count_avoiders_dfs(q: Sequence[int], n: int) -> list[int]:
-    """Avoider counts of q, of length k >= 2, for every length 0..n, from one memo table.
+def _engine(q: Sequence[int]):
+    """The memoized count engine of q, of length k >= 2: (count, children).
 
     After a prefix, the m unused values u_1 < ... < u_m split the value line
     into gaps 0..m. An occurrence of q[:j] in the prefix (0 < j < k) matters
@@ -200,11 +159,14 @@ def count_avoiders_dfs(q: Sequence[int], n: int) -> list[int]:
     so the state keeps, per j, the Pareto-minimal such gap tuples among those
     that can still be completed. Placing u_i kills the prefix if a q[:k-1]
     tuple admits u_i as q[k-1]; otherwise every tuple that admits u_i grows
-    by one slot, (u_i) starts a q[:1] tuple, and gaps i-1 and i merge. The
-    count of a state with m values left is memoized (after Marinov and
+    by one slot, (u_i) starts a q[:1] tuple, and gaps i-1 and i merge.
+    ``children(state, m)`` is that transition: the states after u_1..u_m,
+    None where u_i completes q. ``count(state, m)`` is the number of
+    completions of a state with m values left, memoized (after Marinov and
     Radoicic, *Counting 1324-avoiding permutations*, 2003). The key does not
-    depend on n, and the empty state stays empty when the largest value (the
-    smallest if q[1] < q[0]) is placed, so n's table holds every shorter n.
+    depend on n, and the empty state, ``((),) * (k - 1)``, stays empty when
+    the largest value (the smallest if q[1] < q[0]) is placed, so n's table
+    holds every shorter n.
     """
     k = len(q)
     lo, hi = _bounds(q, range(k))
@@ -217,17 +179,13 @@ def count_avoiders_dfs(q: Sequence[int], n: int) -> list[int]:
         """u_i, of m unused values, may be slot j after the q[:j] tuple t iff a < i <= b."""
         return (t[lo[j]] if lo[j] >= 0 else 0), (t[hi[j]] if hi[j] >= 0 else m)
 
-    def count(state: tuple, m: int) -> int:
-        if m == 0:
-            return 1
-        key = (state, m)
-        if key in memo:
-            return memo[key]
+    def children(state: tuple, m: int) -> list:
         windows = [[(t, *window(t, j, m)) for t in group] for j, group in enumerate(state, 1)]
-        total = 0
+        out = []
         for i in range(1, m + 1):
             if any(a < i <= b for _, a, b in windows[-1]):
-                continue  # u_i would complete q
+                out.append(None)  # u_i would complete q
+                continue
             shift = (*range(i), *range(i - 1, m))  # gaps i-1 and i merge; u_i is in gap i-1
             nxt = []
             for j in range(1, k):
@@ -243,11 +201,84 @@ def count_avoiders_dfs(q: Sequence[int], n: int) -> list[int]:
                     if operator.lt(*window(t, j, m - 1))
                 ]
                 nxt.append(_pareto(alive, signs[j], mixed[j]) if len(alive) > 1 else tuple(alive))
-            total += count(tuple(nxt), m - 1)
-        memo[key] = total
-        return total
+            out.append(tuple(nxt))
+        return out
 
-    return [count(((),) * (k - 1), m) for m in range(n + 1)]
+    def count(state: tuple, m: int) -> int:
+        if m == 0:
+            return 1
+        key = (state, m)
+        if key not in memo:
+            memo[key] = sum(count(child, m - 1) for child in children(state, m) if child is not None)
+        return memo[key]
+
+    return count, children
+
+
+def count_avoiders_dfs(q: Sequence[int], n: int) -> list[int]:
+    """Avoider counts of q, of length k >= 2, for every length 0..n, from one memo table."""
+    count, _ = _engine(q)
+    return [count(((),) * (len(q) - 1), m) for m in range(n + 1)]
+
+
+@functools.lru_cache(maxsize=1)
+def _live(q: tuple[int, ...]):
+    """live(state, m): the children of a state of q's engine whose counts are not 0, as
+    (index into the unused values, child state). A sweep's shards, one per first entry
+    1..n, share it: the cache holds one pattern's table, and the shard of first entry n
+    drops it, so the table is freed when that walk ends. A whole walk builds its own."""
+    count, children = _engine(q)
+    table: dict = {}
+
+    def live(state: tuple, m: int) -> list:
+        key = (state, m)
+        if key not in table:
+            table[key] = [
+                (i, child) for i, child in enumerate(children(state, m))
+                if child is not None and count(child, m - 1)
+            ]
+        return table[key]
+
+    return live
+
+
+def avoiders(q: Sequence[int], n: int, first: int = 0) -> Iterator[tuple[int, ...]]:
+    """Yield the permutations of 1..n avoiding q in lexicographic order.
+
+    ``first`` fixes the first entry (0: any); it is not checked. The walk
+    runs on the count engine's states (see ``_engine``): child i of a state
+    places the i-th smallest unused value, so the children in turn give
+    lexicographic order, and a child whose count is 0 is never entered, so
+    every branch ends in an avoider.
+
+    >>> list(avoiders((2, 1, 3), 3))
+    [(1, 2, 3), (1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    """
+    k = len(q)
+    if k == 0:
+        return  # the empty pattern occurs in every permutation
+    if n == 0:
+        yield ()
+        return
+    if k == 1:
+        return  # (1) occurs in every nonempty permutation
+    live = _live(tuple(q)) if first else _live.__wrapped__(tuple(q))
+    if first == n:  # the last shard of a sweep
+        _live.cache_clear()
+    prefix: list[int] = []
+    unused = list(range(1, n + 1))
+
+    def walk(state: tuple) -> Iterator[tuple[int, ...]]:
+        if not unused:
+            yield tuple(prefix)
+            return
+        for i, child in live(state, len(unused)):
+            if prefix or not first or i == first - 1:
+                prefix.append(unused.pop(i))
+                yield from walk(child)
+                unused.insert(i, prefix.pop())
+
+    yield from walk(((),) * (k - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     pooled = argparse.ArgumentParser(add_help=False, parents=[sweep])
     pooled.add_argument(
         "--jobs", type=int, default=1, metavar="J",
-        help="worker processes for verify; count runs in one (output is identical for any J)",
+        help="threads for verify; count runs in one (output is identical for any J)",
     )
     pooled.add_argument(
         "--cache", metavar="PATH", default=None,

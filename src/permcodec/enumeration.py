@@ -1,17 +1,16 @@
 """Exhaustive enumeration of avoiders, encoder verification, and class scans.
 
-Enumeration is a prefix-extension DFS in lexicographic order: a prefix is
-extended value by value and abandoned as soon as it contains the pattern, so
-each extension only needs a check for occurrences ending at the new entry.
-Counting does not walk the avoiders: it memoizes completion counts on
-reduced prefix states. Both live in the search kernels (``kernels.avoiders``
-yields the avoiders, ``kernels.count_avoiders_dfs`` counts them), and so does
-the verify sweep (``kernels.verify_shard`` walks one shard's avoiders and
-encodes, fills and checks each, compiled or pure); this module adds budget
-guards, sharding of verification by first entry for parallel runs, the
-persistent count cache, the two sweep reports, and the staircase counts
-behind the bound table. One engine call answers every length 0..n of a
-pattern, so a count, each class of a scan and a whole bound table cost one.
+Enumeration and counting share one engine. Counting memoizes completion
+counts on reduced prefix states, and enumeration walks those states in
+lexicographic order, entering only prefixes that can still be completed.
+Both live in the search kernels (``kernels.avoiders`` yields the avoiders,
+``kernels.count_avoiders_dfs`` counts them), and so does the verify sweep
+(``kernels.verify_shard`` walks one shard's avoiders and encodes, fills and
+checks each, compiled or pure); this module adds budget guards, sharding of
+verification by first entry for parallel runs, the persistent count cache,
+the two sweep reports, and the staircase counts behind the bound table. One
+engine call answers every length 0..n of a pattern, so a count, each class
+of a scan and a whole bound table cost one.
 
 Every operation charges the budget up front, once per engine call: the
 injective-prefix bound sum_j n!/(n-j)!, which ignores pruning on purpose, so

@@ -1,15 +1,15 @@
 """Kernel selection: the compiled kernels when built from the source beside them, pure Python otherwise.
 
 ``permcodec._ext``, built from ``_ext.c``, compiles the memoized count
-engine (see ``_pure.count_avoiders_dfs``), the codec's ``encode`` and
-``decode`` (see ``_pure.encode`` and ``decode``), each one call that checks
-its input and runs the level passes, and the verify sweep
-(``_pure.verify_shard``), which walks one shard's avoiders and encodes,
-fills and checks each. Each backend runs the same algorithms, so
-counts, codes, decode outcomes and sweep reports agree bit for bit. The
-avoider walk behind ``enumerate_avoiders`` yields Python tuples, and the
-occurrence search names an encode's witness and backs ``perms.avoids``, so
-both are the pure ones on either backend.
+engine (see ``_pure._engine``), the codec's ``encode`` and ``decode`` (see
+``_pure.encode`` and ``decode``), each one call that checks its input and
+runs the level passes, and the verify sweep (``_pure.verify_shard``), which
+walks one shard's avoiders on the count engine's states and encodes, fills
+and checks each. Each backend runs the same algorithms, so counts, codes,
+decode outcomes and sweep reports agree bit for bit. The avoider walk
+behind ``enumerate_avoiders`` (the same walk, yielding Python tuples) and
+the occurrence search, which names an encode's witness and backs
+``perms.avoids``, are the pure ones on either backend.
 ``_pure`` is imported only where it runs, so a compiled count or verify
 never loads it.
 
@@ -48,7 +48,8 @@ def _select():
 _impl = _select()
 BACKEND = _impl.BACKEND
 
-#: the compiled engine keeps a 64-bit total and refuses n past 20 (20! < 2**63 < 21!)
+#: the compiled engine, behind the count and the sweep, keeps 64-bit totals and refuses n
+#: past 20 (20! < 2**63 < 21!)
 _COMPILED_MAX_N = 20
 
 #: the compiled decode reads the caller's k as a C integer, up to 2**62
@@ -108,4 +109,7 @@ def decode(w, wp, k: int) -> tuple[int, ...]:
 def verify_shard(q, k: int, n: int, first: int, cap: int):
     """(total, defect counts, defect examples) of the length-n avoiders of q whose first
     entry is ``first`` (0: any) under the code for k; see ``_pure.verify_shard``."""
-    return _impl.verify_shard(q, k, n, first, cap)
+    impl = _impl
+    if n > _COMPILED_MAX_N:
+        from permcodec import _pure as impl
+    return impl.verify_shard(q, k, n, first, cap)

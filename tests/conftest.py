@@ -84,11 +84,11 @@ def skip_unless_buildable():
         pytest.skip("no C compiler or no Python.h to build the extension with")
 
 
-def build_ext(root, out):
+def build_ext(root, out, env=None):
     return subprocess.run(
         [sys.executable, "setup.py", "-q", "build_ext",
          "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
-        cwd=root, capture_output=True, text=True, timeout=300,
+        cwd=root, capture_output=True, text=True, timeout=300, env=env,
     )
 
 

@@ -189,9 +189,7 @@ def ends_an_occurrence(p, q, e):
     def place(slot, stop):
         if slot < 0:
             return True
-        for i in range(stop - 1, slot - 2, -1):
-            if i < 0:
-                break
+        for i in range(stop - 1, slot - 1, -1):  # slots 0..slot-1 need the i entries left of i
             chosen[slot] = p[i]
             # the new entry must sit in q's order against every entry placed after it
             if all((q[slot] < q[t]) == (p[i] < chosen[t]) for t in range(slot + 1, k)):
@@ -201,6 +199,27 @@ def ends_an_occurrence(p, q, e):
 
     chosen[k - 1] = p[e]
     return place(k - 2, e)
+
+
+def search_avoiders(q, n, first=0):
+    """The length-n avoiders of q in lexicographic order (``first``, unless 0, fixes the first
+    entry): a prefix DFS that drops a prefix as soon as q occurs ending at its last entry."""
+    found = []
+
+    def extend(prefix):
+        if len(prefix) == n:
+            found.append(tuple(prefix))
+            return
+        for v in [first] if first and not prefix else range(1, n + 1):
+            if v not in prefix:
+                prefix.append(v)
+                if len(prefix) < len(q) or not ends_an_occurrence(prefix, q, len(prefix) - 1):
+                    extend(prefix)
+                prefix.pop()
+
+    if q:  # the empty pattern occurs in every permutation
+        extend([])
+    return found
 
 
 def random_staircase_avoider(rng, k, n):

@@ -1,6 +1,7 @@
 """The oracles pin the package from outside, so they import only the stdlib."""
 
 import ast
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -31,3 +32,15 @@ def test_the_avoider_generator_draws_staircase_avoiders():
                 p = oracles.random_staircase_avoider(rng, k, n)
                 assert sorted(p) == list(range(1, n + 1))
                 assert not oracles.brute_contains(p, oracles.staircase(k)), (p, k)
+
+
+def test_the_search_walk_lists_the_brute_force_avoiders():
+    # the walk stands in for brute force where brute force is too slow
+    for k in range(0, 5):
+        for q in itertools.permutations(range(1, k + 1)):
+            for n in range(7):
+                want = oracles.brute_avoiders(q, n)
+                assert oracles.search_avoiders(q, n) == want, (q, n)
+                for first in range(1, n + 1):
+                    assert oracles.search_avoiders(q, n, first) == [
+                        p for p in want if p[0] == first], (q, n, first)
